@@ -283,7 +283,7 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
         Conn::connect(addr).map_err(e2s)?,
         Conn::connect(addr).map_err(e2s)?,
     ];
-    let loader_lines = &data.batch_lines[..data.batch_lines.len() - PROBE_BATCHES];
+    let loader_lines = &data.batch_lines[..data.batch_lines.len().saturating_sub(PROBE_BATCHES)];
     let mut loader = Loader {
         conn: 0,
         lines: loader_lines,
@@ -673,7 +673,7 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
         ]);
     } else {
         let ingest_counts = {
-            let spare = data.batches.len() - PROBE_BATCHES..data.batches.len();
+            let spare = data.batches.len().saturating_sub(PROBE_BATCHES)..data.batches.len();
             probes::ingest_probes(
                 &mut tr,
                 &copy,
