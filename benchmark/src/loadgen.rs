@@ -11,10 +11,10 @@
 //! The thread sleeps in `ppoll(2)` until [`SPIN_NS`] before the next due
 //! time and spins the rest of the way. After each send or receive it
 //! also spins on nonblocking reads for up to [`SPIN_AWAIT_NS`] while a
-//! response is awaited, so a fast answer is not charged the
-//! generator's own wake-up latency, and a slow one does not cost the
-//! server a core. Send lateness and receive delay thus stay far below
-//! the latencies it measures. A
+//! read is awaited, so a fast answer is not charged the generator's own
+//! wake-up latency, and a slow one (or an ingest ack, which takes
+//! milliseconds) does not cost the server a core. Send lateness and
+//! receive delay thus stay far below the latencies it measures. A
 //! refused, reset or closed connection fails every request on it, and a
 //! request still unanswered when the drain timeout expires fails too —
 //! none is dropped from the counts.
@@ -23,13 +23,16 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use crate::trace::Tracer;
 
 /// How long before a due time the generator stops sleeping and spins.
 pub const SPIN_NS: u64 = 60_000;
 /// How long after its last send or receive the generator keeps spinning
-/// for an awaited response before it sleeps until one arrives.
-pub const SPIN_AWAIT_NS: u64 = 1_000_000;
+/// for an awaited read before it sleeps until one arrives.
+pub const SPIN_AWAIT_NS: u64 = 250_000;
 
 #[repr(C)]
 struct PollFd {
@@ -193,31 +196,40 @@ impl Conn {
 /// Whether the loader has a batch to send, time left to send it, and a
 /// live connection to send it on.
 fn loader_can_send(l: &Loader<'_>, conns: &[Conn], now: u64, send_until: u64) -> bool {
-    now < send_until && l.next < l.until.min(l.lines.len()) && !conns[l.conn].is_dead()
+    now < send_until && l.next < l.limit && !conns[l.conn].is_dead()
 }
 
-/// One scheduled read: when it falls due (ns after the phase start) and
-/// which connection carries it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Planned {
-    /// Due time, ns after the phase start.
-    pub due_ns: u64,
-    /// Connection index.
-    pub conn: usize,
+/// An open-loop schedule of reads at a fixed rate, alternating over
+/// connections, the first one interval after the phase start.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Schedule {
+    /// Reads in the schedule.
+    pub n: usize,
+    /// Offered rate (requests/s).
+    pub qps: f64,
+    /// Connections the reads alternate over.
+    pub conns: Vec<usize>,
 }
 
-/// An open-loop schedule of `n` reads at a fixed rate, alternating
-/// over `conns` connections, starting one interval after the phase
-/// start.
-pub fn fixed_rate(qps: f64, duration: Duration, conns: &[usize]) -> Vec<Planned> {
-    let interval = 1e9 / qps;
-    let n = (duration.as_secs_f64() * qps).floor() as usize;
-    (0..n)
-        .map(|i| Planned {
-            due_ns: ((i + 1) as f64 * interval) as u64,
-            conn: conns[i % conns.len()],
-        })
-        .collect()
+impl Schedule {
+    /// `qps` reads per second for `duration` over `conns`.
+    pub fn fixed_rate(qps: f64, duration: Duration, conns: &[usize]) -> Schedule {
+        Schedule {
+            n: (duration.as_secs_f64() * qps).floor() as usize,
+            qps,
+            conns: conns.to_vec(),
+        }
+    }
+
+    /// Due time of read `i`, ns after the phase start.
+    pub fn due_ns(&self, i: usize) -> u64 {
+        ((i + 1) as f64 * 1e9 / self.qps) as u64
+    }
+
+    /// Connection of read `i`.
+    pub fn conn(&self, i: usize) -> usize {
+        self.conns[i % self.conns.len()]
+    }
 }
 
 /// A served read as the generator saw it.
@@ -226,7 +238,7 @@ pub struct ReadRecord {
     /// Index into the phase's read schedule.
     pub idx: usize,
     /// The request line as sent.
-    pub line: String,
+    pub line: Arc<str>,
     /// Due time, ns after the phase start.
     pub due_ns: u64,
     /// When the line was queued for writing, ns after the phase start.
@@ -264,22 +276,18 @@ pub struct AckRecord {
     pub response: Option<String>,
 }
 
-/// The closed-loop ingest loader of a phase.
-#[derive(Debug)]
+/// The closed-loop ingest loader, carried across phases.
 pub struct Loader<'a> {
     /// Connection the loader owns.
     pub conn: usize,
-    /// Every batch line of the workload, in order.
-    pub lines: &'a [String],
+    /// The `ingest` line of batch `k`.
+    pub line_for: &'a dyn Fn(usize) -> String,
     /// Next batch to send.
     pub next: usize,
-    /// The phase sends batches up to this index (exclusive).
-    pub until: usize,
+    /// Batches from this index on are never sent.
+    pub limit: usize,
     /// Batches acknowledged so far (across phases).
     pub acked: usize,
-    /// Stop sending reads once this phase's batches are all
-    /// acknowledged, so every read of the phase runs beside ingest.
-    pub reads_end_with_batches: bool,
 }
 
 /// Everything one phase produced.
@@ -309,24 +317,28 @@ impl Outcome {
 /// yet sent — the phase sends no more reads (an overloaded ladder rung
 /// has failed by then; its unsent reads are not recorded). Returns
 /// when every request is answered or `drain` after the last send has
-/// passed.
+/// passed. With a tracer, each answered read is recorded as a
+/// `serve.read` span from its due time to its answer.
 #[allow(clippy::too_many_arguments)]
 pub fn run_phase(
     conns: &mut [Conn],
-    mut plan: &[Planned],
-    line_for: &mut dyn FnMut(usize, usize) -> String,
+    plan: &Schedule,
+    line_for: &mut dyn FnMut(usize, usize) -> Arc<str>,
     mut loader: Option<&mut Loader<'_>>,
     send_for: Duration,
     probes_ns: &[u64],
     give_up: Duration,
     drain: Duration,
+    mut tracer: Option<&mut Tracer>,
 ) -> Outcome {
     let start = Instant::now();
+    let span_base = tracer.as_ref().map_or(0, |t| t.now_ns());
+    let mut n_reads = plan.n;
     let ns = |at: Instant| at.duration_since(start).as_nanos() as u64;
     let send_until = send_for.as_nanos() as u64;
     let give_up = give_up.as_nanos() as u64;
     let mut out = Outcome {
-        reads: Vec::with_capacity(plan.len()),
+        reads: Vec::with_capacity(plan.n),
         ..Outcome::default()
     };
     let mut scratch = vec![0u8; 1 << 16];
@@ -339,12 +351,6 @@ pub fn run_phase(
     let mut last_event = 0u64;
     loop {
         let now = ns(Instant::now());
-        // Reads end with the loader's batches, when asked to.
-        if loader.as_ref().is_some_and(|l| {
-            l.reads_end_with_batches && !ingest_inflight && l.next >= l.until.min(l.lines.len())
-        }) {
-            plan = &plan[..next];
-        }
         let oldest_due = conns
             .iter()
             .filter_map(|c| {
@@ -353,17 +359,16 @@ pub fn run_phase(
                     Slot::Ack(_) => None,
                 })
             })
-            .chain(plan.get(next).map(|p| p.due_ns))
+            .chain((next < n_reads).then(|| plan.due_ns(next)))
             .min();
         if oldest_due.is_some_and(|d| now > d.saturating_add(give_up)) {
-            plan = &plan[..next];
+            n_reads = next;
         }
         // Sends that are due.
-        while next < plan.len() && plan[next].due_ns <= now {
-            let p = plan[next];
+        while next < n_reads && plan.due_ns(next) <= now {
             let acks = loader.as_ref().map_or(0, |l| l.acked);
             let line = line_for(next, acks);
-            let c = &mut conns[p.conn];
+            let c = &mut conns[plan.conn(next)];
             if !c.is_dead() {
                 c.queue(&line, Slot::Read(out.reads.len()));
                 outstanding += 1;
@@ -371,7 +376,7 @@ pub fn run_phase(
             out.reads.push(ReadRecord {
                 idx: next,
                 line,
-                due_ns: p.due_ns,
+                due_ns: plan.due_ns(next),
                 sent_ns: now,
                 recv_ns: None,
                 response: None,
@@ -383,7 +388,7 @@ pub fn run_phase(
         }
         if let Some(l) = loader.as_deref_mut() {
             if !ingest_inflight && loader_can_send(l, conns, now, send_until) {
-                conns[l.conn].queue(&l.lines[l.next], Slot::Ack(out.acks.len()));
+                conns[l.conn].queue(&(l.line_for)(l.next), Slot::Ack(out.acks.len()));
                 ingest_inflight = true;
                 out.acks.push(AckRecord {
                     batch: l.next,
@@ -414,6 +419,15 @@ pub fn run_phase(
                         r.response = Some(line);
                         r.acks_at_recv = acked + usize::from(ingest_inflight);
                         outstanding -= 1;
+                        if let Some(t) = tracer.as_deref_mut() {
+                            t.record(
+                                r.idx as u64,
+                                "serve.read",
+                                None,
+                                span_base + r.due_ns,
+                                span_base + at,
+                            );
+                        }
                     }
                     Slot::Ack(i) => {
                         let a = &mut out.acks[i];
@@ -447,7 +461,7 @@ pub fn run_phase(
             .as_ref()
             .is_some_and(|l| !ingest_inflight && loader_can_send(l, conns, now, send_until));
         let loader_busy = ingest_inflight || loader_ready;
-        let sends_left = next < plan.len() || next_probe < probes_ns.len();
+        let sends_left = next < n_reads || next_probe < probes_ns.len();
         if !sends_left && !loader_busy && outstanding == 0 {
             break;
         }
@@ -459,8 +473,8 @@ pub fn run_phase(
         }
         // Sleep until the next event, spinning the last stretch.
         let mut wake = deadline.unwrap_or(u64::MAX);
-        if next < plan.len() {
-            wake = wake.min(plan[next].due_ns);
+        if next < n_reads {
+            wake = wake.min(plan.due_ns(next));
         }
         if next_probe < probes_ns.len() {
             wake = wake.min(probes_ns[next_probe]);
@@ -469,10 +483,9 @@ pub fn run_phase(
             wake = now;
         }
         let budget = wake.saturating_sub(now);
-        // Right after a send or receive, an awaited response is likely
-        // to come soon: keep spinning so its arrival is seen at once.
-        let awaiting =
-            (outstanding > 0 || ingest_inflight) && now - last_event.min(now) < SPIN_AWAIT_NS;
+        // Right after a send or receive, an awaited read is likely to be
+        // answered soon: keep spinning so its arrival is seen at once.
+        let awaiting = outstanding > 0 && now - last_event.min(now) < SPIN_AWAIT_NS;
         if budget > SPIN_NS && !awaiting {
             let streams: Vec<(&TcpStream, bool)> = conns
                 .iter()

@@ -6,8 +6,11 @@
 //! (`wire.exec`), `wire::parse_request` (`wire.parse`) and the
 //! `QueryTarget` call (`query.<op>`), with `Opened::snapshots`
 //! (`snapshot.pin`) and `Stiu::trajs_in_interval` (`stiu.candidates`)
-//! as children of the query. Ingest probes compress, publish and log
-//! spare batches on the end-of-run copy, stage by stage.
+//! as children of the query. Before each line a served `ping` measures
+//! the serve hop on its own (`serve.ping`, with the in-process ping as
+//! its child `wire.ping`), so that the layers can be checked to add up
+//! to the round trip. Ingest probes compress, publish and log spare
+//! batches on the end-of-run copy, stage by stage.
 
 use std::net::SocketAddr;
 use std::path::Path;
@@ -48,28 +51,43 @@ pub struct ReadCounts {
     pub probes: usize,
 }
 
+/// The served `ping` line that measures the serve hop.
+const PING: &str = r#"{"op":"ping"}"#;
+
 /// Runs the read probes over `lines` (the first `warm` only warm the
 /// copies' caches and are not recorded). `exec` answers `wire.exec`,
-/// `query` the query-layer calls; they are separate copies when the
-/// workload's cache is small, so each sees the same cache history.
+/// `query` the query-layer calls.
 pub fn read_probes(
     tr: &mut Tracer,
     addr: SocketAddr,
     exec: &Opened,
     query: &Opened,
-    lines: &[(Kind, String)],
+    lines: &[(Kind, std::sync::Arc<str>)],
     warm: usize,
 ) -> Result<ReadCounts, String> {
     let mut counts = ReadCounts::default();
     let mut conn = Depth1::connect(addr, IO_TIMEOUT).map_err(|e| e.to_string())?;
     for (i, (kind, line)) in lines.iter().enumerate() {
         let req = i as u64;
-        let start = tr.now_ns();
-        let (served, _) = conn.round_trip(line).map_err(|e| e.to_string())?;
-        let end = tr.now_ns();
+        // The first of the two round trips finds the server idle after
+        // the in-process calls; alternate which one that is.
+        let mut timed = |l: &str| -> Result<(String, u64, u64), String> {
+            let start = tr.now_ns();
+            let (reply, _) = conn.round_trip(l).map_err(|e| e.to_string())?;
+            Ok((reply, start, tr.now_ns()))
+        };
+        let ((pong, ping_start, ping_end), (served, start, end)) = if i % 2 == 0 {
+            let p = timed(PING)?;
+            (p, timed(line)?)
+        } else {
+            let l = timed(line)?;
+            (timed(PING)?, l)
+        };
         let measured = i >= warm;
         let mut scratch = Tracer::new(Instant::now());
         let t: &mut Tracer = if measured { &mut *tr } else { &mut scratch };
+        let ping = t.record(req, "serve.ping", None, ping_start, ping_end);
+        let (pong_want, _) = t.time(req, "wire.ping", Some(ping), || handle_line(exec, PING));
         let root = t.record(req, "serve.request", None, start, end);
         let (reply, exec_span) = t.time(req, "wire.exec", Some(root), || handle_line(exec, line));
         let (parsed, _) = t.time(req, "wire.parse", Some(exec_span), || parse_request(line));
@@ -160,36 +178,12 @@ pub fn read_probes(
             }
         }
         if measured {
-            counts.probes += 1;
-            if reply.line != served {
-                counts.mismatches += 1;
-            }
+            counts.probes += 2;
+            counts.mismatches +=
+                usize::from(reply.line != served) + usize::from(pong_want.line != pong);
         }
     }
     Ok(counts)
-}
-
-/// Served depth-1 round trips of `lines`, with one span recorded per
-/// request or none; returns the pass's wall time in ns.
-pub fn served_pass(
-    addr: SocketAddr,
-    lines: &[(Kind, String)],
-    traced: bool,
-) -> Result<f64, String> {
-    let mut conn = Depth1::connect(addr, IO_TIMEOUT).map_err(|e| e.to_string())?;
-    let mut tr = Tracer::new(Instant::now());
-    let t0 = Instant::now();
-    for (i, (_, line)) in lines.iter().enumerate() {
-        if traced {
-            let start = tr.now_ns();
-            conn.round_trip(line).map_err(|e| e.to_string())?;
-            let end = tr.now_ns();
-            tr.record(i as u64, "serve.request", None, start, end);
-        } else {
-            conn.round_trip(line).map_err(|e| e.to_string())?;
-        }
-    }
-    Ok(t0.elapsed().as_nanos() as f64)
 }
 
 /// Counts gathered by the ingest probes.

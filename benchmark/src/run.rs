@@ -8,29 +8,31 @@
 //! * warm-up (not timed): the fixed read rate for [`WARM_S`] seconds;
 //! * fixed rate: open-loop reads at the workload's rate, for half of `S`
 //!   (six tenths when ingest runs beside the reads) — the latency
-//!   metrics;
+//!   metrics. A traced run alternates untraced and traced segments;
 //! * ladder (untraced runs only): the ascending rates for the rest of
-//!   the read time, stopping at the first step that misses the limit —
+//!   `S`, stopping at the first step that misses the limit —
 //!   `read_qps_at_slo`;
-//! * ingest: the closed-loop loader beside the reads, or alone after
-//!   them for the workload's fixed number of batches.
+//! * ingest: the closed-loop loader back to back beside the reads, in
+//!   every phase, or alone after them for the workload's fixed number
+//!   of batches.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use utcq_core::wire::handle_line;
 use utcq_core::{FsyncPolicy, Opened, QueryTarget, WalConfig};
 
-use crate::loadgen::{fixed_rate, run_phase, tighten_timer_slack, Conn, Loader, Outcome, Planned};
+use crate::loadgen::{run_phase, tighten_timer_slack, Conn, Loader, Outcome, ReadRecord, Schedule};
 use crate::probes;
 use crate::server::{self, Server};
 use crate::stats::{median, window_percentiles, window_rates, Step, Summary};
 use crate::trace::Tracer;
 use crate::verify::{self, nested_f64};
-use crate::workload::{self, where_line, IngestBatches, Kind, Spec};
+use crate::workload::{self, where_line, Kind, Spec};
 
 /// Server starts timed for `setup_s`.
-pub const SETUP_RUNS: usize = 7;
+pub const SETUP_RUNS: usize = 15;
 /// Warm-up seconds before the fixed-rate phase.
 pub const WARM_S: f64 = 0.5;
 /// How long a phase waits for outstanding responses after its last send.
@@ -38,7 +40,12 @@ pub const DRAIN: Duration = Duration::from_secs(10);
 /// Spare batches for the traced run's ingest probes.
 pub const PROBE_BATCHES: usize = 8;
 /// Window length for the ingest medians.
-pub const ACK_WINDOW_NS: u64 = 1_000_000_000;
+pub const WINDOW_NS: u64 = 500_000_000;
+/// Segments of a traced run's fixed-rate phase, alternately untraced
+/// and traced (`trace.overhead_frac`).
+pub const TRACE_SEGMENTS: usize = 6;
+/// Longest the ingest phase after the reads may send for.
+pub const INGEST_AFTER_MAX: Duration = Duration::from_secs(60);
 /// Idle pause before a phase that follows the ladder.
 pub const SETTLE: Duration = Duration::from_secs(1);
 /// Backlog samples per ladder step.
@@ -161,11 +168,25 @@ struct Plan {
 }
 
 fn plan(spec: &Spec, seconds: f64) -> Plan {
-    let fixed = if spec.ingest_beside_reads { 0.6 } else { 0.5 };
+    let fixed = if spec.ingest_after_reads.is_none() {
+        0.6
+    } else {
+        0.5
+    };
     Plan {
         fixed: Duration::from_secs_f64(seconds * fixed),
         step: Duration::from_secs_f64(seconds * (1.0 - fixed) / spec.ladder.len() as f64),
     }
+}
+
+/// Latencies (µs) of the answered reads of `reads` whose stream kind is
+/// `kind`.
+fn latencies(reads: &[ReadRecord], kind_of: impl Fn(&ReadRecord) -> Kind, kind: Kind) -> Vec<f64> {
+    reads
+        .iter()
+        .filter(|r| kind_of(r) == kind)
+        .filter_map(ReadRecord::latency_us)
+        .collect()
 }
 
 /// Runs the workload named in `args` from the repository at `root`.
@@ -182,22 +203,14 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
     )));
     std::fs::create_dir_all(&work.0).map_err(e2s)?;
     let p = plan(&spec, args.seconds);
-    let read_conns: Vec<usize> = if spec.ingest_beside_reads {
-        vec![1]
-    } else {
-        vec![0, 1]
-    };
-    let n_batches = PROBE_BATCHES
-        + match spec.ingest_batches {
-            IngestBatches::Count(n) => n,
-            IngestBatches::PerSecond(r) => (r * args.seconds).ceil() as usize + 1,
-        };
+    let beside = spec.ingest_after_reads.is_none();
+    let read_conns: Vec<usize> = if beside { vec![1] } else { vec![0, 1] };
 
     // Inputs.
     let t_gen = Instant::now();
-    let data = workload::build_data(&spec, args.seed, n_batches);
+    let data = workload::build_data(&spec, args.seed);
     let container = work.0.join("data.utcq");
-    workload::write_container(&spec, &data, &container)?;
+    workload::write_container(&data, &container)?;
     let container_bytes = std::fs::metadata(&container).map_err(e2s)?.len();
     let mut open_ms = Vec::with_capacity(3);
     for _ in 0..3 {
@@ -209,17 +222,19 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
     let gen_s = t_gen.elapsed().as_secs_f64();
 
     // Read schedules and the stream that fills them.
-    let warm_plan = fixed_rate(spec.fixed_qps, Duration::from_secs_f64(WARM_S), &read_conns);
-    // Beside ingest, the fixed-rate phase lasts until its batches are
-    // acknowledged: schedule reads for up to twice its nominal length.
-    let stretch = if spec.ingest_beside_reads { 2.0 } else { 1.0 };
-    let fixed_plan = fixed_rate(spec.fixed_qps, p.fixed.mul_f64(stretch), &read_conns);
-    let ladder_plans: Vec<Vec<Planned>> = if args.trace {
+    let warm_plan =
+        Schedule::fixed_rate(spec.fixed_qps, Duration::from_secs_f64(WARM_S), &read_conns);
+    let segments = if args.trace { TRACE_SEGMENTS } else { 1 };
+    let segment = p.fixed / segments as u32;
+    let fixed_plans: Vec<Schedule> = (0..segments)
+        .map(|_| Schedule::fixed_rate(spec.fixed_qps, segment, &read_conns))
+        .collect();
+    let ladder_plans: Vec<Schedule> = if args.trace {
         Vec::new()
     } else {
         spec.ladder
             .iter()
-            .map(|&q| fixed_rate(q, p.step, &read_conns))
+            .map(|&q| Schedule::fixed_rate(q, p.step, &read_conns))
             .collect()
     };
     let probe_lines_n = match (spec.pool, args.trace) {
@@ -227,8 +242,9 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
         (Some(n), true) => n,
         (None, true) => 240,
     };
-    let scheduled =
-        warm_plan.len() + fixed_plan.len() + ladder_plans.iter().map(Vec::len).sum::<usize>();
+    let scheduled = warm_plan.n
+        + fixed_plans.iter().map(|s| s.n).sum::<usize>()
+        + ladder_plans.iter().map(|s| s.n).sum::<usize>();
     let stream = workload::read_stream(&spec, &data, args.seed, scheduled + probe_lines_n);
 
     // Server.
@@ -240,9 +256,6 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
         SERVER_THREADS.to_string(),
         "--writable".into(),
     ];
-    if let Some(c) = spec.cache_bytes {
-        sargs.extend(["--cache-bytes".into(), c.to_string()]);
-    }
     if let Some(c) = spec.checkpoint_bytes {
         sargs.extend([
             "--wal".into(),
@@ -283,32 +296,29 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
         Conn::connect(addr).map_err(e2s)?,
         Conn::connect(addr).map_err(e2s)?,
     ];
-    let loader_lines = &data.batch_lines[..data.batch_lines.len().saturating_sub(PROBE_BATCHES)];
+    let batch_line = |k: usize| data.batch_line(k);
     let mut loader = Loader {
         conn: 0,
-        lines: loader_lines,
+        line_for: &batch_line,
         next: 0,
-        until: loader_lines.len(),
+        limit: spec.ingest_after_reads.unwrap_or(usize::MAX),
         acked: 0,
-        reads_end_with_batches: false,
     };
-    // Beside the reads, each phase gets its fixed share of batches.
-    let quota = |l: &mut Loader<'_>, d: Duration| {
-        if let IngestBatches::PerSecond(r) = spec.ingest_batches {
-            l.until = l.next + (r * d.as_secs_f64()).round() as usize;
-        }
-    };
+    // The stream position of each phase's first read.
+    let mut phase_offsets: Vec<usize> = Vec::new();
     let mut offset = 0usize;
-    let phase = |conns: &mut Vec<Conn>,
-                 plan: &[Planned],
-                 loader: Option<&mut Loader<'_>>,
-                 send_for: Duration,
-                 probes_ns: &[u64],
-                 give_up: Duration,
-                 offset: &mut usize| {
-        let base = *offset;
-        let mut line_for = |i: usize, acked: usize| stream[base + i].resolve(&data, acked);
-        let out = run_phase(
+    let mut phase = |conns: &mut [Conn],
+                     plan: &Schedule,
+                     loader: Option<&mut Loader<'_>>,
+                     send_for: Duration,
+                     probes_ns: &[u64],
+                     give_up: Duration,
+                     tracer: Option<&mut Tracer>| {
+        let base = offset;
+        phase_offsets.push(base);
+        offset += plan.n;
+        let mut line_for = |i: usize, acked: usize| stream.get(base + i).resolve(&data, acked);
+        run_phase(
             conns,
             plan,
             &mut line_for,
@@ -317,46 +327,46 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
             probes_ns,
             give_up,
             DRAIN,
-        );
-        *offset += plan.len();
-        out
+            tracer,
+        )
     };
-    let beside = spec.ingest_beside_reads;
 
     let mut outcomes: Vec<Outcome> = Vec::new();
+    let mut tr = Tracer::new(Instant::now());
     outcomes.push(phase(
         &mut conns,
         &warm_plan,
-        None,
+        beside.then_some(&mut loader),
         Duration::from_secs_f64(WARM_S),
         &[],
         DRAIN,
-        &mut offset,
+        None,
     ));
     let cache_before = if args.trace {
         Some(server.request(r#"{"op":"cache_stats"}"#)?)
     } else {
         None
     };
-    quota(&mut loader, p.fixed);
-    loader.reads_end_with_batches = beside;
-    let fixed = phase(
-        &mut conns,
-        &fixed_plan,
-        beside.then_some(&mut loader),
-        p.fixed.mul_f64(stretch),
-        &[],
-        DRAIN,
-        &mut offset,
-    );
+    // The fixed-rate phase (a traced run: its odd segments traced).
+    let fixed_idx = outcomes.len();
+    for (k, fp) in fixed_plans.iter().enumerate() {
+        let out = phase(
+            &mut conns,
+            fp,
+            beside.then_some(&mut loader),
+            segment,
+            &[],
+            DRAIN,
+            (k % 2 == 1).then_some(&mut tr),
+        );
+        outcomes.push(out);
+    }
+    let fixed_range = fixed_idx..outcomes.len();
     let cache_after = if args.trace {
         Some(server.request(r#"{"op":"cache_stats"}"#)?)
     } else {
         None
     };
-    loader.reads_end_with_batches = false;
-    let fixed_idx = outcomes.len();
-    outcomes.push(fixed);
 
     // Ladder. A rung whose reads run twice the limit late has failed:
     // it stops sending rather than build a backlog to drain.
@@ -367,7 +377,6 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
         let probes_ns: Vec<u64> = (1..BACKLOG_SAMPLES)
             .map(|i| step_ns * i as u64 / BACKLOG_SAMPLES as u64)
             .collect();
-        quota(&mut loader, p.step);
         let out = phase(
             &mut conns,
             lp,
@@ -375,7 +384,7 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
             p.step,
             &probes_ns,
             give_up,
-            &mut offset,
+            None,
         );
         let half = out.backlog.len() / 2;
         let mean = |v: &[usize]| v.iter().sum::<usize>() as f64 / v.len().max(1) as f64;
@@ -400,64 +409,57 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
             break;
         }
     }
-    // Traced runs probe the reads while the server still holds only the
-    // container's data (read-only workloads) — below, before the
-    // ingest phase.
-    let mut tr = Tracer::new(Instant::now());
+    // Traced runs probe the reads of a read-only phase here, while the
+    // server still holds only the container's data.
     let mut read_counts = None;
-    let probe_lines: Vec<(Kind, String)> = stream[scheduled..]
-        .iter()
-        .map(|r| (r.kind(), r.resolve(&data, loader.acked)))
+    let probe_lines: Vec<(Kind, Arc<str>)> = (scheduled..scheduled + probe_lines_n)
+        .map(|i| {
+            let r = stream.get(i);
+            (r.kind(), r.resolve(&data, loader.acked))
+        })
         .collect();
-    let mut overhead = Vec::new();
     if args.trace && !beside {
-        // A small cache makes answers depend on cache history: give the
-        // exec and query layers a copy each, fed the same lines.
-        let pair = match spec.cache_bytes {
-            Some(c) => {
-                let open = || -> Result<Opened, String> {
-                    let o = Opened::open(&container).map_err(e2s)?;
-                    o.set_cache_bytes(c);
-                    Ok(o)
-                };
-                Some((open()?, open()?))
-            }
-            None => None,
-        };
-        let copies = pair.as_ref().map_or((&copy, &copy), |(a, b)| (a, b));
         read_counts = Some(read_layer_probes(
             &mut tr,
             &server,
             &spec,
-            copies,
+            (&copy, &copy),
             &probe_lines,
-            &mut overhead,
         )?);
     }
-    if !beside {
+    let ingest_idx = if beside {
+        fixed_range.clone()
+    } else {
         // Let the server finish the ladder's aftermath before timing ingest.
         std::thread::sleep(SETTLE);
         let out = phase(
             &mut conns,
-            &[],
+            &Schedule::fixed_rate(1.0, Duration::ZERO, &read_conns),
             Some(&mut loader),
-            DRAIN,
+            INGEST_AFTER_MAX,
             &[],
             DRAIN,
-            &mut offset,
+            None,
         );
         outcomes.push(out);
-    }
+        outcomes.len() - 1..outcomes.len()
+    };
     drop(conns);
 
     // End of run: what the server reports about itself.
     let info = server.request(r#"{"op":"info"}"#)?;
     let rss_kib = server.peak_rss_kib().unwrap_or(0);
-    let reads: Vec<&crate::loadgen::ReadRecord> =
-        outcomes.iter().flat_map(|o| o.reads.iter()).collect();
+    let reads: Vec<&ReadRecord> = outcomes.iter().flat_map(|o| o.reads.iter()).collect();
     let acks: Vec<&crate::loadgen::AckRecord> =
         outcomes.iter().flat_map(|o| o.acks.iter()).collect();
     let acked = loader.acked;
+    if let Some(n) = spec.ingest_after_reads {
+        if acked != n {
+            return Err(format!(
+                "the ingest phase acknowledged {acked} of {n} batches"
+            ));
+        }
+    }
 
     // Verification (and, traced, the read probes of the ingest workload,
     // which need the copy at the server's final state).
@@ -465,7 +467,7 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
         &copy,
         &reads,
         &acks,
-        &data.batch_lines,
+        &batch_line,
         data.base.trajectories.len(),
         spec.batch_trajs,
     );
@@ -473,12 +475,13 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
     if args.trace && beside {
         // The range-result cache would answer the query layer's repeat
         // of each exec'd line: replay the acked batches into a second
-        // copy of the base data for the query layer.
+        // copy of the base data (the server's checkpoints have rewritten
+        // the container) for the query layer.
         let base = work.0.join("probe_base.utcq");
-        workload::write_container(&spec, &data, &base)?;
+        workload::write_container(&data, &base)?;
         let second = Opened::open(&base).map_err(e2s)?;
-        for b in &data.batches[..acked] {
-            second.ingest(b).map_err(e2s)?;
+        for k in 0..acked {
+            second.ingest(&data.batch(k)).map_err(e2s)?;
         }
         read_counts = Some(read_layer_probes(
             &mut tr,
@@ -486,12 +489,11 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
             &spec,
             (&copy, &second),
             &probe_lines,
-            &mut overhead,
         )?);
     }
     let (stderr, lost) = if spec.checkpoint_bytes.is_some() {
         let err = server.kill9();
-        let lost = durability_loss(&container, &wal, &data, acked, spec.batch_trajs)?;
+        let lost = durability_loss(&container, &wal, &data, acked)?;
         (err, Some(lost))
     } else {
         (server.shutdown()?, None)
@@ -510,7 +512,6 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
         failed += rc.mismatches;
     }
 
-    let fixed = &outcomes[fixed_idx];
     let mut detail: Vec<(String, String)> = vec![
         ("workload".into(), format!("\"{}\"", spec.name)),
         ("seed".into(), args.seed.to_string()),
@@ -520,12 +521,6 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
             data.base.trajectories.len().to_string(),
         ),
         ("container_bytes".into(), container_bytes.to_string()),
-        ("shards".into(), spec.shards.to_string()),
-        (
-            "cache_bytes".into(),
-            spec.cache_bytes
-                .map_or("\"default\"".into(), |c| c.to_string()),
-        ),
         (
             "fsync".into(),
             if spec.checkpoint_bytes.is_some() {
@@ -553,17 +548,29 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
             lost.map_or("null".into(), |l| l.to_string()),
         ),
     ];
-    // Per read kind: (due time, latency) of the fixed-rate phase.
+    // Per read kind, over the fixed-rate phase: the latency summary and
+    // (for the detail line) the median over windows of each window's p50.
+    // Per segment of the fixed-rate phase, per kind: the latency of
+    // each answered read.
+    let fixed_lat: Vec<Vec<Vec<f64>>> = fixed_range
+        .clone()
+        .map(|o| {
+            let base = phase_offsets[o];
+            Kind::ALL
+                .iter()
+                .map(|&k| latencies(&outcomes[o].reads, |r| stream.get(base + r.idx).kind(), k))
+                .collect()
+        })
+        .collect();
     let per_kind: Vec<(Kind, Summary)> = Kind::ALL
         .iter()
-        .map(|&k| {
-            let lat: Vec<f64> = fixed
-                .reads
+        .enumerate()
+        .map(|(ki, &k)| {
+            let all: Vec<f64> = fixed_lat
                 .iter()
-                .filter(|r| stream[warm_plan.len() + r.idx].kind() == k)
-                .filter_map(|r| r.latency_us())
+                .flat_map(|seg| seg[ki].iter().copied())
                 .collect();
-            (k, Summary::of(&lat, 99.0))
+            (k, Summary::of(&all, 99.0))
         })
         .collect();
     for (k, s) in &per_kind {
@@ -575,9 +582,9 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
             ),
         ));
     }
-    let late: Vec<f64> = fixed
-        .reads
-        .iter()
+    let late: Vec<f64> = fixed_range
+        .clone()
+        .flat_map(|o| outcomes[o].reads.iter())
         .map(|r| r.sent_ns.saturating_sub(r.due_ns) as f64 / 1e3)
         .collect();
     let late_s = Summary::of(&late, 99.0);
@@ -588,38 +595,35 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
             late_s.p50, late_s.tail_level, late_s.tail
         ),
     ));
-    let ack_ms: Vec<f64> = acks
-        .iter()
-        .filter_map(|a| a.recv_ns.map(|r| (r - a.sent_ns) as f64 / 1e6))
-        .collect();
-    let ack_s = Summary::of(&ack_ms, 99.0);
-    // Per window of each phase the loader ran in: acknowledged batches
-    // per second and the median ack latency; the medians over windows
-    // are reported.
+    // Per window of the ingest phase: acknowledged batches per second
+    // and the median ack latency; the medians over windows are reported.
     let mut ack_rates = Vec::new();
     let mut ack_p50s = Vec::new();
-    for o in &outcomes {
+    let mut ack_ms = Vec::new();
+    for o in ingest_idx.map(|o| &outcomes[o]) {
         let Some(first) = o.acks.first().map(|a| a.sent_ns) else {
             continue;
         };
-        let recvs: Vec<u64> = o.acks.iter().filter_map(|a| a.recv_ns).collect();
-        let last = recvs.iter().copied().max().unwrap_or(first);
-        ack_rates.extend(window_rates(&recvs, first, last, ACK_WINDOW_NS));
         let timed: Vec<(u64, f64)> = o
             .acks
             .iter()
             .filter_map(|a| a.recv_ns.map(|r| (r, (r - a.sent_ns) as f64 / 1e6)))
             .collect();
-        ack_p50s.extend(window_percentiles(&timed, ACK_WINDOW_NS, 50.0));
+        let recvs: Vec<u64> = timed.iter().map(|t| t.0).collect();
+        let last = recvs.iter().copied().max().unwrap_or(first);
+        ack_rates.extend(window_rates(&recvs, first, last, WINDOW_NS));
+        ack_p50s.extend(window_percentiles(&timed, WINDOW_NS, 50.0));
+        ack_ms.extend(timed.iter().map(|t| t.1));
     }
-    let ingest_tps = median(&ack_rates) * spec.batch_trajs as f64;
-    let ack_p50 = median(&ack_p50s);
     if ack_rates.is_empty() || ack_p50s.is_empty() {
         return Err(format!(
             "ingest ran for less than one {} ms window",
-            ACK_WINDOW_NS / 1_000_000
+            WINDOW_NS / 1_000_000
         ));
     }
+    let ingest_tps = median(&ack_rates) * spec.batch_trajs as f64;
+    let ack_p50 = median(&ack_p50s);
+    let ack_s = Summary::of(&ack_ms, 99.0);
     detail.push((
         "ingest_ack".into(),
         format!(
@@ -672,16 +676,17 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
             ),
         ]);
     } else {
-        let ingest_counts = {
-            let spare = data.batches.len().saturating_sub(PROBE_BATCHES)..data.batches.len();
-            probes::ingest_probes(
-                &mut tr,
-                &copy,
-                &data.batches[spare.clone()],
-                &data.batch_lines[spare],
-                &work.0.join("probe.wal"),
-            )?
-        };
+        let spare: Vec<usize> = (acked..acked + PROBE_BATCHES).collect();
+        let ingest_counts = probes::ingest_probes(
+            &mut tr,
+            &copy,
+            &spare.iter().map(|&k| data.batch(k)).collect::<Vec<_>>(),
+            &spare
+                .iter()
+                .map(|&k| data.batch_line(k))
+                .collect::<Vec<_>>(),
+            &work.0.join("probe.wal"),
+        )?;
         failed += ingest_counts.failures;
         attempted += ingest_counts.batches;
         let ckpt_ms = probes::checkpoint_probe(
@@ -707,7 +712,11 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
         let hits = stat(&cache_before, &cache_after, "hits");
         let misses = stat(&cache_before, &cache_after, "misses");
         let evictions = stat(&cache_before, &cache_after, "evictions");
-        let ops = fixed.reads.len().max(1) as f64;
+        let ops = fixed_range
+            .clone()
+            .map(|o| outcomes[o].reads.len())
+            .sum::<usize>()
+            .max(1) as f64;
         let med = |v: Vec<f64>| {
             let m = median(&v);
             if m.is_nan() {
@@ -721,15 +730,20 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
         let serialize = med(tr.self_us("wire.exec"));
         let hop = med(tr.self_us("serve.request"));
         let per_traj = |name: &str| med(tr.self_us(name));
-        let (unaccounted, shares) = unaccounted(&tr, &per_kind);
+        let served_p50: Vec<(Kind, f64)> = per_kind.iter().map(|(k, s)| (*k, s.p50)).collect();
+        let (unaccounted, shares) = unaccounted(&tr, &served_p50);
         detail.push(("shares".into(), shares));
-        let overhead_frac = if overhead.len() >= 2 {
-            let traced: Vec<f64> = overhead.iter().skip(1).step_by(2).copied().collect();
-            let plain: Vec<f64> = overhead.iter().step_by(2).copied().collect();
-            median(&traced) / median(&plain) - 1.0
-        } else {
-            0.0
+        // Fixed-rate latency of the traced segments over the untraced.
+        let p50_of = |traced: bool| {
+            let lat: Vec<f64> = fixed_lat
+                .iter()
+                .enumerate()
+                .filter(|(seg, _)| (seg % 2 == 1) == traced)
+                .flat_map(|(_, kinds)| kinds.iter().flatten().copied())
+                .collect();
+            median(&lat)
         };
+        let overhead_frac = p50_of(true) / p50_of(false) - 1.0;
         let div = |a: f64, b: f64| if b > 0.0 { a / b } else { 0.0 };
         let m = |name, unit, value: f64| Metric {
             name,
@@ -843,54 +857,41 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
 }
 
 /// Runs the read probes (`wire.exec` on `exec`, the query layer on
-/// `query`) and the traced-versus-untraced served passes.
+/// `query`).
 fn read_layer_probes(
     tr: &mut Tracer,
     server: &Server,
     spec: &Spec,
     (exec, query): (&Opened, &Opened),
-    lines: &[(Kind, String)],
-    overhead: &mut Vec<f64>,
+    lines: &[(Kind, Arc<str>)],
 ) -> Result<probes::ReadCounts, String> {
     // A replayed pool is warm on the server: run it once unrecorded
     // first. Lines that never repeat get a distinct preamble instead.
-    let (lines, warm): (Vec<(Kind, String)>, usize) = match spec.pool {
+    let (lines, warm): (Vec<(Kind, Arc<str>)>, usize) = match spec.pool {
         Some(_) => ([lines, lines].concat(), lines.len()),
         None => (lines.to_vec(), lines.len() / 4),
     };
-    let lines = &lines[..];
-    let counts = probes::read_probes(tr, server.addr, exec, query, lines, warm)?;
-    let sample = &lines[warm..(warm + 200).min(lines.len())];
-    for _ in 0..3 {
-        overhead.push(probes::served_pass(server.addr, sample, false)?);
-        overhead.push(probes::served_pass(server.addr, sample, true)?);
-    }
-    Ok(counts)
+    probes::read_probes(tr, server.addr, exec, query, &lines, warm)
 }
 
-/// Per read kind: the traced fixed-rate p50 against the sum of the
-/// median layer self times of that kind's probes (negative when the
-/// idle-server depth-1 probes cost more than a request under load).
-/// Returns the mean unaccounted share over the kinds, and a JSON table
-/// of each layer's median self time as a share of the depth-1 round
-/// trip.
-fn unaccounted(tr: &Tracer, per_kind: &[(Kind, Summary)]) -> (f64, String) {
-    let kind_of = |req: u64| -> Option<Kind> {
-        tr.spans().iter().find_map(|s| {
-            (s.req == req && s.name.starts_with("query.")).then_some(match s.name {
-                "query.where" => Kind::Where,
-                "query.when" => Kind::When,
-                _ => Kind::Range,
-            })
-        })
-    };
+/// Per read kind, over the depth-1 probes: the round trip against the
+/// serve hop measured on its own (`serve.ping` self time) plus the
+/// in-process execution (`wire.exec`, which its child layers make up).
+/// Returns the mean unaccounted share `1 − (hop + exec) / round trip`
+/// over the kinds, and a JSON table of each layer's median self time as
+/// a share of the depth-1 round trip, with the fixed-rate p50 from
+/// `served_p50` over that round trip (the wait a request has under
+/// load that it does not have alone).
+fn unaccounted(tr: &Tracer, served_p50: &[(Kind, f64)]) -> (f64, String) {
     let mut req_kind = std::collections::HashMap::new();
     for s in tr.spans() {
-        if s.name == "serve.request" && !req_kind.contains_key(&s.req) {
-            if let Some(k) = kind_of(s.req) {
-                req_kind.insert(s.req, k);
-            }
-        }
+        let kind = match s.name {
+            "query.where" => Kind::Where,
+            "query.when" => Kind::When,
+            "query.range" => Kind::Range,
+            _ => continue,
+        };
+        req_kind.insert(s.req, kind);
     }
     let layers = [
         "serve.request",
@@ -901,45 +902,47 @@ fn unaccounted(tr: &Tracer, per_kind: &[(Kind, Summary)]) -> (f64, String) {
         "query.range",
         "snapshot.pin",
         "stiu.candidates",
+        "serve.ping",
     ];
-    let mut fracs = Vec::new();
-    let mut table = Vec::new();
-    for (k, served) in per_kind {
-        let mut selfs = Vec::new();
-        for name in layers {
-            let v: Vec<f64> = tr
-                .spans()
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.name == name && req_kind.get(&s.req) == Some(k))
-                .map(|(i, _)| tr.self_ns(i) / 1e3)
-                .collect();
-            if !v.is_empty() {
-                selfs.push((name, median(&v)));
-            }
-        }
-        let rtt: Vec<f64> = tr
+    let median_of = |k: Kind, name: &str, self_time: bool| -> f64 {
+        let v: Vec<f64> = tr
             .spans()
             .iter()
-            .filter(|s| s.name == "serve.request" && req_kind.get(&s.req) == Some(k))
-            .map(|s| s.dur_ns() as f64 / 1e3)
+            .enumerate()
+            .filter(|(_, s)| s.name == name && req_kind.get(&s.req) == Some(&k))
+            .map(|(i, s)| {
+                if self_time {
+                    tr.self_ns(i) / 1e3
+                } else {
+                    s.dur_ns() as f64 / 1e3
+                }
+            })
             .collect();
-        let rtt = median(&rtt);
-        if selfs.is_empty() || !served.p50.is_finite() || served.p50 <= 0.0 {
+        median(&v)
+    };
+    let mut fracs = Vec::new();
+    let mut table = Vec::new();
+    for &(k, served) in served_p50 {
+        let rtt = median_of(k, "serve.request", false);
+        let hop = median_of(k, "serve.ping", true);
+        let exec = median_of(k, "wire.exec", false);
+        if !(rtt > 0.0 && hop.is_finite() && exec.is_finite()) {
             continue;
         }
-        let sum: f64 = selfs.iter().map(|(_, v)| v).sum();
-        fracs.push(1.0 - sum / served.p50);
+        fracs.push(1.0 - (hop + exec) / rtt);
+        let selfs: Vec<String> = layers
+            .iter()
+            .map(|&n| (n, median_of(k, n, true)))
+            .filter(|(_, v)| v.is_finite())
+            .map(|(n, v)| format!("\"{n}\":{:.4}", v / rtt))
+            .collect();
         table.push(format!(
-            "\"{}\":{{\"served_p50_us\":{:.1},\"depth1_rtt_us\":{:.1},\"share_of_depth1_rtt\":{{{}}}}}",
+            "\"{}\":{{\"served_p50_us\":{:.1},\"depth1_rtt_us\":{:.1},\"loaded_over_depth1\":{:.3},\"share_of_depth1_rtt\":{{{}}}}}",
             k.name(),
-            served.p50,
+            served,
             rtt,
-            selfs
-                .iter()
-                .map(|(n, v)| format!("\"{n}\":{:.4}", v / rtt))
-                .collect::<Vec<_>>()
-                .join(",")
+            served / rtt,
+            selfs.join(",")
         ));
     }
     let mean = if fracs.is_empty() {
@@ -957,16 +960,14 @@ fn durability_loss(
     wal: &Path,
     data: &workload::Data,
     acked: usize,
-    batch_trajs: usize,
 ) -> Result<usize, String> {
     let reopened = Opened::open_durable(container, WalConfig::new(wal).fsync(FsyncPolicy::Always))
         .map_err(|e| format!("reopening after kill -9: {e}"))?;
     let snaps = reopened.snapshots();
-    let missing = data.batches[..acked]
-        .iter()
-        .flat_map(|b| b.trajectories.iter())
-        .filter(|tu| !snaps.iter().any(|s| s.traj_index(tu.id).is_some()))
+    let missing = (0..acked)
+        .flat_map(|k| data.batch_ids(k))
+        .filter(|&id| !snaps.iter().any(|s| s.traj_index(id).is_some()))
         .count();
-    let want = data.base.trajectories.len() + acked * batch_trajs;
+    let want = data.base.trajectories.len() + acked * data.batch_trajs;
     Ok(missing + usize::from(reopened.len() != want))
 }

@@ -26,15 +26,16 @@ pub struct Verdict {
     pub bad_acks: usize,
 }
 
-/// Replays `acks` (sent in batch order from batch 0, one at a time)
-/// into `copy` and checks every answered read of `reads` at the epochs
-/// its window admits. `base_len` is the container's trajectory count,
-/// `batch_trajs` the size of every batch.
+/// Replays `acks` (sent in batch order from batch 0, one at a time,
+/// batch `k` being the line `batch_line(k)`) into `copy` and checks
+/// every answered read of `reads` at the epochs its window admits.
+/// `base_len` is the container's trajectory count, `batch_trajs` the
+/// size of every batch.
 pub fn check(
     copy: &Opened,
     reads: &[&ReadRecord],
     acks: &[&AckRecord],
-    batch_lines: &[String],
+    batch_line: &dyn Fn(usize) -> String,
     base_len: usize,
     batch_trajs: usize,
 ) -> Verdict {
@@ -58,7 +59,7 @@ pub fn check(
                 continue;
             }
             let want = expected
-                .entry(r.line.as_str())
+                .entry(&r.line)
                 .or_insert_with(|| handle_line(copy, &r.line).line);
             if r.response.as_deref() == Some(want.as_str()) {
                 matched[i] = true;
@@ -72,7 +73,7 @@ pub fn check(
         let Some(ack) = acks.get(epoch) else {
             break;
         };
-        let reply = handle_line_writable(copy, &batch_lines[ack.batch]).line;
+        let reply = handle_line_writable(copy, &batch_line(ack.batch)).line;
         let advanced = field_u64(&reply, "epoch") == Some(epoch as u64 + 1)
             && field_u64(&reply, "total") == Some((base_len + (epoch + 1) * batch_trajs) as u64);
         if ack.batch != epoch || ack.response.as_deref() != Some(reply.as_str()) || !advanced {

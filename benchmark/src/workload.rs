@@ -1,5 +1,5 @@
-//! The three workloads: their fixed sizes and server settings, the
-//! seeded datasets and containers, and the request streams.
+//! The workloads: their fixed sizes and server settings, the seeded
+//! datasets and containers, and the request streams.
 //!
 //! Datasets come from the `utcq_datagen` profiles and queries from the
 //! `utcq_bench::workload` generators; the server only ever sees the
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use utcq_bench::workload::{range_queries, when_queries, where_queries};
-use utcq_core::{ByTime, CompressParams, StiuParams, Store, StoreBuilder};
+use utcq_core::{CompressParams, StiuParams, Store};
 use utcq_datagen::{generate_network, generate_on_network, DatasetProfile, GenOptions};
 use utcq_network::RoadNetwork;
 use utcq_traj::{Dataset, UncertainTrajectory};
@@ -25,12 +25,8 @@ pub struct Spec {
     pub name: &'static str,
     /// Dataset profile (`utcq_datagen::profile::cd` / `hz`).
     pub profile: fn() -> DatasetProfile,
-    /// Trajectories in the container the server opens.
+    /// Trajectories in the single-store v2 container the server opens.
     pub base_trajs: usize,
-    /// Partitions: 1 = single-store v2 container, more = `ByTime` v3.
-    pub shards: u32,
-    /// `--cache-bytes` for the server (`None` = its 64 MiB default).
-    pub cache_bytes: Option<usize>,
     /// Durable ingest: `--wal`, `--fsync always`, `--checkpoint-bytes`.
     pub checkpoint_bytes: Option<u64>,
     /// Shares of where, when and range reads.
@@ -46,22 +42,10 @@ pub struct Spec {
     pub limit_us: f64,
     /// Trajectories per ingest batch.
     pub batch_trajs: usize,
-    /// Whether the ingest loader runs beside the reads (otherwise it
-    /// runs alone after them).
-    pub ingest_beside_reads: bool,
-    /// How many ingest batches the loader sends.
-    pub ingest_batches: IngestBatches,
-}
-
-/// How many ingest batches a run sends.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum IngestBatches {
-    /// Exactly this many, after the reads.
-    Count(usize),
-    /// Beside the reads: this many per second of each phase, sent back
-    /// to back from the phase start (a fixed volume per phase, below
-    /// the loader's usual throughput).
-    PerSecond(f64),
+    /// `Some(n)`: the loader sends `n` batches alone, after the reads.
+    /// `None`: it sends batches back to back beside the reads, for the
+    /// whole of each read phase.
+    pub ingest_after_reads: Option<usize>,
 }
 
 /// Read request kinds, in mix order.
@@ -96,56 +80,62 @@ pub fn all() -> Vec<Spec> {
             name: "serve_hot",
             profile: utcq_datagen::profile::cd,
             base_trajs: 2_000,
-            shards: 1,
-            cache_bytes: None,
             checkpoint_bytes: None,
             mix: [0.45, 0.45, 0.10],
             pool: Some(256),
             fixed_qps: 16_000.0,
-            ladder: &[24_000.0, 96_000.0, 1_920_000.0],
+            ladder: SERVE_HOT_LADDER,
             limit_us: 50_000.0,
             batch_trajs: 64,
-            ingest_beside_reads: false,
-            ingest_batches: IngestBatches::Count(750),
-        },
-        Spec {
-            name: "range_cold",
-            profile: utcq_datagen::profile::cd,
-            base_trajs: 20_000,
-            shards: 4,
-            cache_bytes: Some(4 << 20),
-            checkpoint_bytes: None,
-            mix: [0.20, 0.20, 0.60],
-            pool: None,
-            fixed_qps: 120.0,
-            ladder: &[150.0, 600.0, 6_000.0],
-            limit_us: 50_000.0,
-            batch_trajs: 16,
-            ingest_beside_reads: false,
-            ingest_batches: IngestBatches::Count(250),
+            ingest_after_reads: Some(750),
         },
         Spec {
             name: "ingest_mixed",
             profile: utcq_datagen::profile::hz,
             base_trajs: 1_000,
-            shards: 1,
-            cache_bytes: None,
             checkpoint_bytes: Some(4 << 20),
             mix: [0.40, 0.40, 0.20],
             pool: None,
             fixed_qps: 150.0,
-            ladder: &[75.0, 300.0, 6_000.0],
+            ladder: INGEST_MIXED_LADDER,
             limit_us: 50_000.0,
             batch_trajs: 16,
-            ingest_beside_reads: true,
-            ingest_batches: IngestBatches::PerSecond(30.0),
+            ingest_after_reads: None,
         },
     ]
 }
 
+/// `serve_hot`'s ladder (requests/s).
+const SERVE_HOT_LADDER: &[f64] = &[48_000.0, 120_000.0];
+/// `ingest_mixed`'s ladder (requests/s).
+const INGEST_MIXED_LADDER: &[f64] = &[150.0, 300.0];
+
 /// Looks a workload up by name.
 pub fn by_name(name: &str) -> Option<Spec> {
     all().into_iter().find(|s| s.name == name)
+}
+
+/// Distinct fresh trajectories generated for ingest. Batch `k` reuses
+/// the trajectories of pool batch `k mod (POOL_TRAJS / batch size)`
+/// under fresh ids, so a run can ingest for as long as it lasts without
+/// generating or holding every batch up front.
+pub const POOL_TRAJS: usize = 4096;
+
+/// A where or when read prepared on a pool batch's trajectory; the id
+/// is filled in when the batch it reads is known.
+#[derive(Debug, Clone, PartialEq)]
+enum BatchRead {
+    Where {
+        offset: usize,
+        t: i64,
+        alpha: f64,
+    },
+    When {
+        offset: usize,
+        edge: u32,
+        rd: f64,
+        alpha: f64,
+    },
 }
 
 /// The generated inputs of one run.
@@ -157,22 +147,76 @@ pub struct Data {
     pub base: Dataset,
     /// Compression parameters (the paper's Table 7 defaults).
     pub params: CompressParams,
-    /// Fresh trajectories for ingest, in batches.
-    pub batches: Vec<Dataset>,
-    /// The `ingest` request line of each batch.
-    pub batch_lines: Vec<String>,
-    /// Reads on each batch's trajectories (where and when lines), for
-    /// read targets resolved against the batches acknowledged so far.
-    pub batch_reads: Vec<Vec<String>>,
+    /// Trajectories per ingest batch.
+    pub batch_trajs: usize,
+    /// Id of the first trajectory of batch 0.
+    first_id: u64,
+    /// Distinct fresh batches; trajectory `i` of each has id `i`.
+    pool: Vec<Dataset>,
+    /// Each pool batch's `ingest` line, cut before every id.
+    templates: Vec<Vec<String>>,
+    /// Where and when reads on each pool batch (4 of each, where first).
+    pool_reads: Vec<Vec<BatchRead>>,
+}
+
+impl Data {
+    /// The trajectory ids of ingest batch `k`.
+    pub fn batch_ids(&self, k: usize) -> std::ops::Range<u64> {
+        let first = self.first_id + (k * self.batch_trajs) as u64;
+        first..first + self.batch_trajs as u64
+    }
+
+    /// Ingest batch `k` as a dataset.
+    pub fn batch(&self, k: usize) -> Dataset {
+        let mut ds = self.pool[k % self.pool.len()].clone();
+        for (tu, id) in ds.trajectories.iter_mut().zip(self.batch_ids(k)) {
+            tu.id = id;
+        }
+        ds
+    }
+
+    /// The `ingest` request line of batch `k`.
+    pub fn batch_line(&self, k: usize) -> String {
+        let pieces = &self.templates[k % self.templates.len()];
+        let mut out = String::with_capacity(pieces.iter().map(String::len).sum::<usize>() + 256);
+        for (piece, id) in pieces.iter().zip(self.batch_ids(k).map(Some).chain([None])) {
+            out.push_str(piece);
+            if let Some(id) = id {
+                let _ = write!(out, "{id}");
+            }
+        }
+        out
+    }
+
+    /// Read `slot` of `kind` (where or when) on batch `k`.
+    fn batch_read(&self, k: usize, kind: Kind, slot: usize) -> String {
+        let reads = &self.pool_reads[k % self.pool_reads.len()];
+        let half = reads.len() / 2;
+        let i = if kind == Kind::Where {
+            slot % half
+        } else {
+            half + slot % half
+        };
+        let id = |offset: usize| self.batch_ids(k).start + offset as u64;
+        match reads[i] {
+            BatchRead::Where { offset, t, alpha } => where_line(id(offset), t, alpha),
+            BatchRead::When {
+                offset,
+                edge,
+                rd,
+                alpha,
+            } => when_line(id(offset), edge, rd, alpha),
+        }
+    }
 }
 
 /// Seed of the road network: one fixed city per profile, so that
 /// runs differ only in their trajectories and requests.
 pub const NETWORK_SEED: u64 = 1;
 
-/// Builds the network, the base dataset and the fresh ingest batches
-/// for `seed`; `n_batches` batches of `spec.batch_trajs` trajectories.
-pub fn build_data(spec: &Spec, seed: u64, n_batches: usize) -> Data {
+/// Builds the network, the base dataset and the pool of fresh ingest
+/// trajectories for `seed`.
+pub fn build_data(spec: &Spec, seed: u64) -> Data {
     let profile = (spec.profile)();
     let net = generate_network(&profile, NETWORK_SEED);
     let base = generate_on_network(
@@ -184,11 +228,11 @@ pub fn build_data(spec: &Spec, seed: u64, n_batches: usize) -> Data {
             ..GenOptions::default()
         },
     );
-    let mut fresh = generate_on_network(
+    let fresh = generate_on_network(
         &net,
         &profile,
         &GenOptions {
-            n_trajectories: n_batches * spec.batch_trajs,
+            n_trajectories: POOL_TRAJS,
             seed: seed ^ 0x5EED_F00D,
             ..GenOptions::default()
         },
@@ -199,75 +243,69 @@ pub fn build_data(spec: &Spec, seed: u64, n_batches: usize) -> Data {
         .map(|t| t.id)
         .max()
         .map_or(0, |m| m + 1);
-    for (k, tu) in fresh.trajectories.iter_mut().enumerate() {
-        tu.id = first_id + k as u64;
-    }
-    let batches: Vec<Dataset> = fresh
+    let pool: Vec<Dataset> = fresh
         .trajectories
-        .chunks(spec.batch_trajs)
-        .filter(|c| c.len() == spec.batch_trajs)
-        .map(|c| Dataset {
-            name: String::new(),
-            default_interval: base.default_interval,
-            trajectories: c.to_vec(),
+        .chunks_exact(spec.batch_trajs)
+        .map(|c| {
+            let mut trajectories = c.to_vec();
+            for (i, tu) in trajectories.iter_mut().enumerate() {
+                tu.id = i as u64;
+            }
+            Dataset {
+                name: String::new(),
+                default_interval: base.default_interval,
+                trajectories,
+            }
         })
         .collect();
-    let batch_lines = batches
+    let templates = pool
         .iter()
-        .map(|b| ingest_line(&b.trajectories))
+        .map(|b| ingest_pieces(&b.trajectories))
         .collect();
-    let batch_reads = batches
+    let pool_reads = pool
         .iter()
         .enumerate()
         .map(|(i, b)| {
             let s = seed ^ (i as u64).wrapping_mul(0x9E37_79B9);
-            let mut lines: Vec<String> = where_queries(b, 4, s)
+            let mut reads: Vec<BatchRead> = where_queries(b, 4, s)
                 .iter()
-                .map(|q| where_line(q.traj_id, q.t, q.alpha))
+                .map(|q| BatchRead::Where {
+                    offset: q.traj_id as usize,
+                    t: q.t,
+                    alpha: q.alpha,
+                })
                 .collect();
-            lines.extend(
-                when_queries(b, 4, s ^ 1)
-                    .iter()
-                    .map(|q| when_line(q.traj_id, q.edge.0, q.rd, q.alpha)),
-            );
-            lines
+            reads.extend(when_queries(b, 4, s ^ 1).iter().map(|q| BatchRead::When {
+                offset: q.traj_id as usize,
+                edge: q.edge.0,
+                rd: q.rd,
+                alpha: q.alpha,
+            }));
+            reads
         })
         .collect();
     Data {
         net: Arc::new(net),
         params: utcq_bench::datasets::paper_params(&profile),
         base,
-        batches,
-        batch_lines,
-        batch_reads,
+        batch_trajs: spec.batch_trajs,
+        first_id,
+        pool,
+        templates,
+        pool_reads,
     }
 }
 
 /// Compresses the base dataset into the workload's container at `path`.
-pub fn write_container(spec: &Spec, data: &Data, path: &Path) -> Result<(), String> {
-    let e = |e: utcq_core::Error| e.to_string();
-    if spec.shards > 1 {
-        StoreBuilder::new(Arc::clone(&data.net), data.params)
-            .stiu_params(StiuParams::default())
-            .shard_by(Arc::new(ByTime::default()), spec.shards)
-            .map_err(e)?
-            .ingest(&data.base)
-            .map_err(e)?
-            .finish()
-            .map_err(e)?
-            .save(path)
-            .map_err(e)
-    } else {
-        Store::build(
-            Arc::clone(&data.net),
-            &data.base,
-            data.params,
-            StiuParams::default(),
-        )
-        .map_err(e)?
-        .save(path)
-        .map_err(e)
-    }
+pub fn write_container(data: &Data, path: &Path) -> Result<(), String> {
+    Store::build(
+        Arc::clone(&data.net),
+        &data.base,
+        data.params,
+        StiuParams::default(),
+    )
+    .and_then(|s| s.save(path))
+    .map_err(|e| e.to_string())
 }
 
 /// `{"op":"where",...}` for a trajectory and time.
@@ -280,14 +318,19 @@ pub fn when_line(traj: u64, edge: u32, rd: f64, alpha: f64) -> String {
     format!(r#"{{"op":"when","traj":{traj},"edge":{edge},"rd":{rd},"alpha":{alpha}}}"#)
 }
 
-/// The `ingest` request line for a batch (the `PROTOCOL.md` shape).
-pub fn ingest_line(trajs: &[UncertainTrajectory]) -> String {
+/// The `ingest` request line for a batch (the `PROTOCOL.md` shape),
+/// cut before each trajectory's id: the line is the pieces joined with
+/// the ids in between.
+fn ingest_pieces(trajs: &[UncertainTrajectory]) -> Vec<String> {
+    let mut pieces = Vec::with_capacity(trajs.len() + 1);
     let mut out = String::from(r#"{"op":"ingest","trajectories":["#);
     for (i, tu) in trajs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, r#"{{"id":{},"times":["#, tu.id);
+        out.push_str(r#"{"id":"#);
+        pieces.push(std::mem::take(&mut out));
+        out.push_str(r#","times":["#);
         for (k, t) in tu.times.iter().enumerate() {
             let _ = write!(out, "{}{t}", if k > 0 { "," } else { "" });
         }
@@ -317,7 +360,8 @@ pub fn ingest_line(trajs: &[UncertainTrajectory]) -> String {
         out.push_str("]}");
     }
     out.push_str("]}");
-    out
+    pieces.push(out);
+    pieces
 }
 
 /// One read of a stream: a fixed line, or a read on a recently
@@ -325,7 +369,7 @@ pub fn ingest_line(trajs: &[UncertainTrajectory]) -> String {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Read {
     /// A fixed request line.
-    Line(Kind, String),
+    Line(Kind, Arc<str>),
     /// Read `slot` of the batch `back` batches before the newest
     /// acknowledged one (falls back to `fallback` before any ack).
     Recent {
@@ -336,7 +380,7 @@ pub enum Read {
         /// Which of that batch's prepared reads.
         slot: usize,
         /// The base-data line used while too few batches are acked.
-        fallback: String,
+        fallback: Arc<str>,
     },
 }
 
@@ -349,9 +393,9 @@ impl Read {
     }
 
     /// The request line, given the batches acknowledged so far.
-    pub fn resolve(&self, data: &Data, acked: usize) -> String {
+    pub fn resolve(&self, data: &Data, acked: usize) -> Arc<str> {
         match self {
-            Read::Line(_, l) => l.clone(),
+            Read::Line(_, l) => Arc::clone(l),
             Read::Recent {
                 kind,
                 back,
@@ -359,16 +403,10 @@ impl Read {
                 fallback,
             } => {
                 if acked <= *back {
-                    return fallback.clone();
+                    Arc::clone(fallback)
+                } else {
+                    data.batch_read(acked - 1 - back, *kind, *slot).into()
                 }
-                let reads = &data.batch_reads[acked - 1 - back];
-                // Where lines come first, then when lines (4 each).
-                let half = reads.len() / 2;
-                let i = match kind {
-                    Kind::Where => slot % half,
-                    _ => half + slot % half,
-                };
-                reads[i].clone()
             }
         }
     }
@@ -376,7 +414,7 @@ impl Read {
     /// A stable text form, for determinism checks.
     pub fn text(&self) -> String {
         match self {
-            Read::Line(_, l) => l.clone(),
+            Read::Line(_, l) => l.to_string(),
             Read::Recent {
                 kind,
                 back,
@@ -385,6 +423,44 @@ impl Read {
             } => format!("recent:{}:{back}:{slot}|{fallback}", kind.name()),
         }
     }
+}
+
+/// A workload's reads, in the order a run sends them.
+#[derive(Debug)]
+pub enum Stream {
+    /// A pool of distinct reads replayed in seeded order: read `i` is
+    /// drawn from `i` and the seed, so no stream is materialised.
+    Pool {
+        /// The distinct reads.
+        reads: Vec<Read>,
+        /// Seed of the draw.
+        seed: u64,
+    },
+    /// Reads that never repeat, generated up front.
+    Fresh(Vec<Read>),
+}
+
+impl Stream {
+    /// Read `i` of the stream.
+    ///
+    /// # Panics
+    /// On a fresh stream, when `i` is beyond the reads generated.
+    pub fn get(&self, i: usize) -> &Read {
+        match self {
+            Stream::Pool { reads, seed } => {
+                &reads[(splitmix64(seed ^ i as u64) % reads.len() as u64) as usize]
+            }
+            Stream::Fresh(reads) => &reads[i],
+        }
+    }
+}
+
+/// The SplitMix64 finaliser: a well-mixed 64-bit hash of `x`.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Queries of one kind over the base data, as request lines.
@@ -450,11 +526,11 @@ fn kinds(mix: [f64; 3], n: usize, rng: &mut StdRng) -> Vec<Kind> {
         .collect()
 }
 
-/// The first `n` reads of the workload's stream for `seed`. A pool
-/// workload replays its distinct requests in seeded order; the others
-/// never repeat a request; a workload with ingest beside its reads
+/// The workload's read stream for `seed`. A pool workload replays its
+/// distinct requests in seeded order; the others never repeat a request
+/// (`n` reads are generated); a workload with ingest beside its reads
 /// aims half of its where/when reads at recently acknowledged batches.
-pub fn read_stream(spec: &Spec, data: &Data, seed: u64, n: usize) -> Vec<Read> {
+pub fn read_stream(spec: &Spec, data: &Data, seed: u64, n: usize) -> Stream {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0005_7EA3);
     let net = data.net.as_ref();
     let mut seen = HashSet::new();
@@ -469,13 +545,15 @@ pub fn read_stream(spec: &Spec, data: &Data, seed: u64, n: usize) -> Vec<Read> {
             };
             taken += k;
             for l in distinct_lines(*kind, net, &data.base, k, seed ^ (i as u64 + 11), &mut seen) {
-                pool.push(Read::Line(*kind, l));
+                pool.push(Read::Line(*kind, l.into()));
             }
         }
-        return (0..n)
-            .map(|_| pool[rng.gen_range(0..pool.len())].clone())
-            .collect();
+        return Stream::Pool {
+            reads: pool,
+            seed: rng.gen(),
+        };
     }
+    let beside = spec.ingest_after_reads.is_none();
     let order = kinds(spec.mix, n, &mut rng);
     let mut per_kind: Vec<std::vec::IntoIter<String>> = Kind::ALL
         .iter()
@@ -485,21 +563,23 @@ pub fn read_stream(spec: &Spec, data: &Data, seed: u64, n: usize) -> Vec<Read> {
             distinct_lines(*kind, net, &data.base, k, seed ^ (i as u64 + 21), &mut seen).into_iter()
         })
         .collect();
-    order
-        .iter()
-        .map(|kind| {
-            let i = Kind::ALL.iter().position(|k| k == kind).unwrap_or(0);
-            let line = per_kind[i].next().unwrap_or_default();
-            if spec.ingest_beside_reads && *kind != Kind::Range && rng.gen_bool(0.5) {
-                Read::Recent {
-                    kind: *kind,
-                    back: rng.gen_range(0..4),
-                    slot: rng.gen_range(0..4),
-                    fallback: line,
+    Stream::Fresh(
+        order
+            .iter()
+            .map(|kind| {
+                let i = Kind::ALL.iter().position(|k| k == kind).unwrap_or(0);
+                let line: Arc<str> = per_kind[i].next().unwrap_or_default().into();
+                if beside && *kind != Kind::Range && rng.gen_bool(0.5) {
+                    Read::Recent {
+                        kind: *kind,
+                        back: rng.gen_range(0..4),
+                        slot: rng.gen_range(0..4),
+                        fallback: line,
+                    }
+                } else {
+                    Read::Line(*kind, line)
                 }
-            } else {
-                Read::Line(*kind, line)
-            }
-        })
-        .collect()
+            })
+            .collect(),
+    )
 }

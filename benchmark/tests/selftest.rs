@@ -11,8 +11,8 @@ use utcq_benchmark::stats::{
     window_rates, Step, Summary,
 };
 use utcq_benchmark::verify;
-use utcq_benchmark::workload::{self, build_data, read_stream, IngestBatches, Kind, Spec};
-use utcq_core::wire::Json;
+use utcq_benchmark::workload::{self, build_data, read_stream, Kind, Spec, POOL_TRAJS};
+use utcq_core::wire::{parse_request, Json, Request};
 use utcq_core::{Opened, StiuParams, Store};
 
 #[test]
@@ -175,25 +175,22 @@ fn metric_names_are_valid_and_match_benchmark_json() {
 fn small(name: &str) -> Spec {
     let mut s = workload::by_name(name).expect("workload exists");
     s.base_trajs = 120;
-    if let IngestBatches::Count(_) = s.ingest_batches {
-        s.ingest_batches = IngestBatches::Count(4);
-    }
     s
 }
 
 fn stream_text(spec: &Spec, seed: u64) -> String {
-    let data = build_data(spec, seed, 6);
-    let mut out: Vec<String> = read_stream(spec, &data, seed, 400)
-        .iter()
-        .map(|r| r.text())
-        .collect();
-    out.extend(data.batch_lines.iter().cloned());
+    let data = build_data(spec, seed);
+    let stream = read_stream(spec, &data, seed, 400);
+    let mut out: Vec<String> = (0..400).map(|i| stream.get(i).text()).collect();
+    out.extend((0..6).map(|k| data.batch_line(k)));
+    // Recent reads resolved against a few acknowledged batches.
+    out.extend((0..400).map(|i| stream.get(i).resolve(&data, 5).to_string()));
     out.join("\n")
 }
 
 #[test]
 fn same_seed_same_stream_other_seed_other_stream() {
-    for name in ["serve_hot", "range_cold", "ingest_mixed"] {
+    for name in ["serve_hot", "ingest_mixed"] {
         let spec = small(name);
         let a = stream_text(&spec, 7);
         assert_eq!(a, stream_text(&spec, 7), "{name}: not deterministic");
@@ -202,26 +199,61 @@ fn same_seed_same_stream_other_seed_other_stream() {
 }
 
 #[test]
-fn pools_replay_and_cold_streams_never_repeat() {
+fn pools_replay_and_fresh_streams_never_repeat() {
     let hot = small("serve_hot");
-    let data = build_data(&hot, 3, 2);
-    let stream = read_stream(&hot, &data, 3, 5_000);
-    let distinct: std::collections::HashSet<String> = stream.iter().map(|r| r.text()).collect();
+    let data = build_data(&hot, 3);
+    let stream = read_stream(&hot, &data, 3, 0);
+    let distinct: std::collections::HashSet<String> =
+        (0..5_000).map(|i| stream.get(i).text()).collect();
     assert_eq!(distinct.len(), hot.pool.expect("pool"));
 
-    let cold = small("range_cold");
-    let data = build_data(&cold, 3, 2);
-    let stream = read_stream(&cold, &data, 3, 2_000);
-    let distinct: std::collections::HashSet<String> = stream.iter().map(|r| r.text()).collect();
-    assert_eq!(distinct.len(), stream.len());
-    let ranges = stream.iter().filter(|r| r.kind() == Kind::Range).count() as f64;
-    assert!((ranges / stream.len() as f64 - 0.6).abs() < 0.05);
+    let mixed = small("ingest_mixed");
+    let data = build_data(&mixed, 3);
+    let stream = read_stream(&mixed, &data, 3, 2_000);
+    let texts: Vec<String> = (0..2_000).map(|i| stream.get(i).text()).collect();
+    let distinct: std::collections::HashSet<&String> = texts.iter().collect();
+    assert_eq!(distinct.len(), texts.len());
+    let ranges = (0..2_000)
+        .filter(|&i| stream.get(i).kind() == Kind::Range)
+        .count() as f64;
+    assert!((ranges / 2_000.0 - 0.2).abs() < 0.05);
+}
+
+#[test]
+fn batch_lines_carry_fresh_ids_over_the_recycled_pool() {
+    let spec = small("ingest_mixed");
+    let data = build_data(&spec, 4);
+    let per_pool = POOL_TRAJS / spec.batch_trajs;
+    let mut seen = std::collections::HashSet::new();
+    for k in [0, 1, per_pool, per_pool + 1] {
+        let want = data.batch(k);
+        let Ok(parsed) = parse_request(&data.batch_line(k)) else {
+            panic!("batch {k}: line does not parse");
+        };
+        let Request::Ingest { trajectories, .. } = parsed.request else {
+            panic!("batch {k}: not an ingest line");
+        };
+        assert_eq!(trajectories, want.trajectories, "batch {k}");
+        let ids: Vec<u64> = data.batch_ids(k).collect();
+        assert_eq!(
+            ids,
+            want.trajectories.iter().map(|t| t.id).collect::<Vec<_>>()
+        );
+        assert!(
+            ids.iter().all(|id| seen.insert(*id)),
+            "batch {k} reuses an id"
+        );
+    }
+    // Batch k and k + pool size share content, not ids.
+    let (a, b) = (data.batch(1), data.batch(per_pool + 1));
+    assert_eq!(a.trajectories[0].times, b.trajectories[0].times);
+    assert_ne!(a.trajectories[0].id, b.trajectories[0].id);
 }
 
 fn record(line: &str, response: Option<String>, window: (usize, usize)) -> ReadRecord {
     ReadRecord {
         idx: 0,
-        line: line.to_string(),
+        line: line.into(),
         due_ns: 0,
         sent_ns: 0,
         recv_ns: response.as_ref().map(|_| 1),
@@ -234,7 +266,7 @@ fn record(line: &str, response: Option<String>, window: (usize, usize)) -> ReadR
 #[test]
 fn answer_check_admits_only_the_epochs_in_a_reads_window() {
     let spec = small("ingest_mixed");
-    let data = build_data(&spec, 5, 2);
+    let data = build_data(&spec, 5);
     let open = || {
         let store = Store::build(
             Arc::clone(&data.net),
@@ -247,10 +279,10 @@ fn answer_check_admits_only_the_epochs_in_a_reads_window() {
     };
     // What a server answers before and after the first batch.
     let server = open();
-    let first = &data.batches[0].trajectories[0];
+    let first = &data.batch(0).trajectories[0];
     let probe = workload::where_line(first.id, first.times[0], 0.0);
     let before = utcq_core::wire::handle_line(&server, &probe).line;
-    let ack = utcq_core::wire::handle_line_writable(&server, &data.batch_lines[0]).line;
+    let ack = utcq_core::wire::handle_line_writable(&server, &data.batch_line(0)).line;
     let after = utcq_core::wire::handle_line(&server, &probe).line;
     assert_ne!(before, after, "the probe must see the batch");
     let acks = [AckRecord {
@@ -267,7 +299,7 @@ fn answer_check_admits_only_the_epochs_in_a_reads_window() {
             &open(),
             &reads,
             &acks,
-            &data.batch_lines,
+            &|k| data.batch_line(k),
             n,
             spec.batch_trajs,
         )
@@ -294,6 +326,13 @@ fn answer_check_admits_only_the_epochs_in_a_reads_window() {
         ..acks[0].clone()
     }];
     let wrong: Vec<&AckRecord> = wrong.iter().collect();
-    let v = verify::check(&open(), &[], &wrong, &data.batch_lines, n, spec.batch_trajs);
+    let v = verify::check(
+        &open(),
+        &[],
+        &wrong,
+        &|k| data.batch_line(k),
+        n,
+        spec.batch_trajs,
+    );
     assert_eq!(v.bad_acks, 1);
 }
