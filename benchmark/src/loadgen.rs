@@ -288,6 +288,8 @@ pub struct Loader<'a> {
     pub limit: usize,
     /// Batches acknowledged so far (across phases).
     pub acked: usize,
+    /// Called with the new `acked` count after each acknowledgement.
+    pub on_ack: &'a dyn Fn(usize),
 }
 
 /// Everything one phase produced.
@@ -436,6 +438,7 @@ pub fn run_phase(
                         ingest_inflight = false;
                         if let Some(l) = loader.as_deref_mut() {
                             l.acked += 1;
+                            (l.on_ack)(l.acked);
                         }
                     }
                 }

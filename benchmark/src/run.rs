@@ -297,12 +297,19 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
         Conn::connect(addr).map_err(e2s)?,
     ];
     let batch_line = |k: usize| data.batch_line(k);
+    let rss_kib = std::cell::Cell::new(None);
+    let read_rss = |acked: usize| {
+        if acked == spec.rss_at_batches {
+            rss_kib.set(server.peak_rss_kib());
+        }
+    };
     let mut loader = Loader {
         conn: 0,
         line_for: &batch_line,
         next: 0,
         limit: spec.ingest_after_reads.unwrap_or(usize::MAX),
         acked: 0,
+        on_ack: &read_rss,
     };
     // The stream position of each phase's first read.
     let mut phase_offsets: Vec<usize> = Vec::new();
@@ -448,7 +455,6 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
 
     // End of run: what the server reports about itself.
     let info = server.request(r#"{"op":"info"}"#)?;
-    let rss_kib = server.peak_rss_kib().unwrap_or(0);
     let reads: Vec<&ReadRecord> = outcomes.iter().flat_map(|o| o.reads.iter()).collect();
     let acks: Vec<&crate::loadgen::AckRecord> =
         outcomes.iter().flat_map(|o| o.acks.iter()).collect();
@@ -658,6 +664,12 @@ pub fn run(root: &Path, args: &Args) -> Result<Report, String> {
 
     let mut metrics = Vec::new();
     if !args.trace {
+        let rss_kib = rss_kib.get().ok_or_else(|| {
+            format!(
+                "the server acknowledged {acked} of the {} batches its peak RSS is read at",
+                spec.rss_at_batches
+            )
+        })?;
         let m = |name, unit, value| Metric { name, unit, value };
         metrics.extend([
             m("setup_s", "s", median(&setup_s)),

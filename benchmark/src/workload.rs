@@ -46,6 +46,10 @@ pub struct Spec {
     /// `None`: it sends batches back to back beside the reads, for the
     /// whole of each read phase.
     pub ingest_after_reads: Option<usize>,
+    /// `server_rss_mib` is the server's peak RSS when this many batches
+    /// are acknowledged: a fixed amount of data, however fast the
+    /// loader ran.
+    pub rss_at_batches: usize,
 }
 
 /// Read request kinds, in mix order.
@@ -88,6 +92,7 @@ pub fn all() -> Vec<Spec> {
             limit_us: 50_000.0,
             batch_trajs: 64,
             ingest_after_reads: Some(750),
+            rss_at_batches: 750,
         },
         Spec {
             name: "ingest_mixed",
@@ -101,14 +106,15 @@ pub fn all() -> Vec<Spec> {
             limit_us: 50_000.0,
             batch_trajs: 16,
             ingest_after_reads: None,
+            rss_at_batches: 800,
         },
     ]
 }
 
 /// `serve_hot`'s ladder (requests/s).
-const SERVE_HOT_LADDER: &[f64] = &[48_000.0, 120_000.0];
+const SERVE_HOT_LADDER: &[f64] = &[48_000.0, 96_000.0];
 /// `ingest_mixed`'s ladder (requests/s).
-const INGEST_MIXED_LADDER: &[f64] = &[150.0, 300.0];
+const INGEST_MIXED_LADDER: &[f64] = &[100.0, 200.0];
 
 /// Looks a workload up by name.
 pub fn by_name(name: &str) -> Option<Spec> {
