@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Once};
 use std::time::Duration;
 
@@ -640,32 +640,51 @@ pub fn swap_publish_order() -> Scenario {
 
 // -- Serve shutdown model ---------------------------------------------
 
-/// `serve.rs`'s shutdown handshake, modelled 1:1 so the checker can
-/// enumerate its interleavings without real sockets:
+/// `serve.rs`'s shutdown handshake against accept, modelled 1:1 so the
+/// checker can enumerate its interleavings without real sockets:
 ///
 /// * `trigger` = flag, then sweep: half-close the **read** side of
-///   every registered connection (write sides stay open — in-flight
+///   every registered connection (write sides stay open — queued
 ///   responses always complete).
-/// * `register` = insert into the registry, then re-check the flag
-///   (the real code's comment: either the sweep saw our entry or we
-///   see the flag).
+/// * accept (the worker holding the listener's report) = drop the
+///   socket if the flag is up; otherwise `register` = insert into the
+///   registry, then re-check the flag (the real code's comment: either
+///   the sweep saw our entry or we see the flag), then arm the socket.
+/// * a second worker takes the connections' one-shot reports: under
+///   the flag it half-closes the connection and drops it unanswered;
+///   before the flag it answers the pending request and re-arms.
 ///
-/// The registry/half-close/re-check protocol is unchanged by the epoll
-/// event loop — only who *performs* the read moved (the loop, instead
-/// of a per-connection worker); a "worker parked in a blocking read"
-/// below corresponds to the loop waiting on `EPOLLIN` for that
-/// connection, which the sweep's half-close likewise converts to EOF.
+/// The model yields between the insert and the re-check, which the
+/// real code does under one registry lock — a superset of its
+/// interleavings.
 ///
-/// `model_register_recheck(false)` deletes the re-check — the seeded
+/// Conn 0 is an idle client (nothing on the wire: its socket reports
+/// only once its read side is half-closed); conn 1 has one request
+/// pending. The wedge the re-check closes: an idle connection
+/// registered after the sweep keeps its read side open, never reports
+/// again, and the drain waits out its whole deadline for it.
+///
+/// `serve_shutdown_without_recheck` deletes the re-check — the seeded
 /// bug the self-test proves the checker catches.
 struct MockConn {
     read_open: AtomicBool,
+    /// A request is on the wire.
+    pending: AtomicBool,
+    /// In the registry (accepted and not yet dropped).
+    registered: AtomicBool,
+    /// Armed for its one-shot readiness report.
+    armed: AtomicBool,
+    /// The handling worker answered its request.
+    answered: AtomicBool,
     responses: Mutex<Vec<String>>,
-    /// Worker is parked in a blocking read (still registered, as in
-    /// the real code — only an EOF from the shutdown sweep frees it).
-    blocked_in_read: AtomicBool,
-    /// Worker saw an open read side and accepted the request.
-    accepted: AtomicBool,
+}
+
+impl MockConn {
+    /// Readable: a request to read, or the EOF of a half-closed read
+    /// side.
+    fn readable(&self) -> bool {
+        self.pending.load(Ordering::SeqCst) || !self.read_open.load(Ordering::SeqCst)
+    }
 }
 
 struct MockState {
@@ -702,6 +721,7 @@ impl MockState {
                 p.into_inner().insert(token, Arc::clone(conn));
             }
         }
+        conn.registered.store(true, Ordering::SeqCst);
         point("mock.registered");
         if self.recheck && self.shutting_down.load(Ordering::SeqCst) {
             conn.read_open.store(false, Ordering::SeqCst);
@@ -709,7 +729,7 @@ impl MockState {
         token
     }
 
-    fn deregister(&self, token: u64) {
+    fn deregister(&self, token: u64, conn: &MockConn) {
         match self.conns.lock() {
             Ok(mut g) => {
                 g.remove(&token);
@@ -718,6 +738,7 @@ impl MockState {
                 p.into_inner().remove(&token);
             }
         }
+        conn.registered.store(false, Ordering::SeqCst);
     }
 }
 
@@ -729,95 +750,120 @@ fn serve_shutdown_scenario(recheck: bool) -> Scenario {
         recheck,
     });
     let conns: Vec<Arc<MockConn>> = (0..2)
-        .map(|_| {
+        .map(|i| {
             Arc::new(MockConn {
                 read_open: AtomicBool::new(true),
+                pending: AtomicBool::new(i == 1),
+                registered: AtomicBool::new(false),
+                armed: AtomicBool::new(false),
+                answered: AtomicBool::new(false),
                 responses: Mutex::new(Vec::new()),
-                blocked_in_read: AtomicBool::new(false),
-                accepted: AtomicBool::new(false),
             })
         })
         .collect();
+    let tokens: Arc<Mutex<HashMap<usize, u64>>> = Arc::new(Mutex::new(HashMap::new()));
 
     let shutdown = {
         let state = Arc::clone(&state);
         Box::new(move || state.trigger()) as Box<dyn FnOnce() + Send>
     };
-    let mut threads = vec![shutdown];
-    // Conn 0 is an idle client (no request pending: the worker parks
-    // in a blocking read immediately); conn 1 has one request on the
-    // wire. Both mirror serve_connection: a worker never deregisters
-    // while parked in a read — only the sweep's EOF frees it.
-    for (i, conn) in conns.iter().enumerate() {
-        let has_request = i == 1;
+    let acceptor = {
         let state = Arc::clone(&state);
-        let conn = Arc::clone(conn);
-        threads.push(Box::new(move || {
-            let token = state.register(&conn);
-            point("mock.read");
-            if !has_request {
-                // Nothing on the wire: park in the blocking read,
-                // keeping the registry entry (as the real worker does).
-                conn.blocked_in_read.store(true, Ordering::SeqCst);
-                return;
+        let conns = conns.clone();
+        let tokens = Arc::clone(&tokens);
+        Box::new(move || {
+            for (i, conn) in conns.iter().enumerate() {
+                point("mock.accept");
+                if state.shutting_down.load(Ordering::SeqCst) {
+                    continue; // refused: the socket is dropped
+                }
+                point("mock.accepted");
+                let token = state.register(conn);
+                match tokens.lock() {
+                    Ok(mut g) => g.insert(i, token),
+                    Err(p) => p.into_inner().insert(i, token),
+                };
+                conn.armed.store(true, Ordering::SeqCst);
             }
-            if !conn.read_open.load(Ordering::SeqCst) {
-                // Read side already half-closed: EOF, clean refusal.
-                state.deregister(token);
-                return;
+        }) as Box<dyn FnOnce() + Send>
+    };
+    let handler = {
+        let state = Arc::clone(&state);
+        let conns = conns.clone();
+        let tokens = Arc::clone(&tokens);
+        Box::new(move || {
+            for _ in 0..2 {
+                point("mock.worker.wait");
+                // The one-shot report: taking it disarms the socket.
+                let Some(i) = conns.iter().position(|c| {
+                    c.readable()
+                        && c.armed
+                            .compare_exchange(true, false, Ordering::SeqCst, Ordering::SeqCst)
+                            .is_ok()
+                }) else {
+                    continue;
+                };
+                let conn = &conns[i]; // bounds: position() over conns
+                let token = match tokens.lock() {
+                    Ok(g) => g.get(&i).copied(),
+                    Err(p) => p.into_inner().get(&i).copied(),
+                };
+                let Some(token) = token else { continue };
+                if state.shutting_down.load(Ordering::SeqCst)
+                    || !conn.read_open.load(Ordering::SeqCst)
+                {
+                    // Under the flag (or at EOF): half-close, nothing
+                    // queued — the connection is finished and dropped.
+                    conn.read_open.store(false, Ordering::SeqCst);
+                    state.deregister(token, conn);
+                    continue;
+                }
+                conn.pending.store(false, Ordering::SeqCst);
+                conn.answered.store(true, Ordering::SeqCst);
+                point("mock.handled");
+                // The write side is never closed by shutdown, so an
+                // answered request always produces one complete line.
+                match conn.responses.lock() {
+                    Ok(mut g) => g.push("response".to_string()),
+                    Err(p) => p.into_inner().push("response".to_string()),
+                }
+                conn.armed.store(true, Ordering::SeqCst);
             }
-            conn.accepted.store(true, Ordering::SeqCst);
-            point("mock.handled");
-            // The write side is never closed by shutdown, so an
-            // accepted request always produces one complete line.
-            match conn.responses.lock() {
-                Ok(mut g) => g.push("response".to_string()),
-                Err(p) => p.into_inner().push("response".to_string()),
-            }
-            // serve_connection checks the flag after each response.
-            if state.shutting_down.load(Ordering::SeqCst) {
-                state.deregister(token);
-                return;
-            }
-            point("mock.read2");
-            // Back into the blocking read for the next request.
-            conn.blocked_in_read.store(true, Ordering::SeqCst);
-        }) as Box<dyn FnOnce() + Send>);
-    }
+        }) as Box<dyn FnOnce() + Send>
+    };
 
     let finale = {
         let state = Arc::clone(&state);
         Box::new(move || {
-            // Quiescence: shutdown has completed and every handler has
-            // either exited or parked in a blocking read. A parked
-            // worker whose read side is still open never sees EOF —
-            // that wedges shutdown (the race the register re-check
-            // closes). A worker that finished before shutdown may
-            // legitimately keep its read side open.
+            // Quiescence: shutdown has completed. A connection still
+            // registered must have something to report — a request or
+            // the EOF of its half-closed read side — or no worker ever
+            // touches it again and the drain waits out its deadline.
             assert!(state.shutting_down.load(Ordering::SeqCst));
             for (i, conn) in conns.iter().enumerate() {
-                if conn.blocked_in_read.load(Ordering::SeqCst) {
+                if conn.registered.load(Ordering::SeqCst) {
                     assert!(
-                        !conn.read_open.load(Ordering::SeqCst),
-                        "conn {i}: worker parked in a blocking read with its \
-                         read side still open — no EOF coming, shutdown wedges"
+                        conn.readable(),
+                        "conn {i}: registered and idle with its read side still \
+                         open after shutdown — it never reports again, the drain \
+                         waits out its deadline"
                     );
                 }
                 let responses = match conn.responses.lock() {
                     Ok(g) => g,
                     Err(p) => p.into_inner(),
                 };
-                if conn.accepted.load(Ordering::SeqCst) {
+                if conn.answered.load(Ordering::SeqCst) {
                     assert_eq!(
                         responses.len(),
                         1,
-                        "conn {i}: accepted request must produce exactly one \
+                        "conn {i}: answered request must produce exactly one \
                          complete response: {responses:?}"
                     );
                 } else {
                     assert!(
                         responses.is_empty(),
-                        "conn {i}: refused connection wrote a response: \
+                        "conn {i}: unanswered connection wrote a response: \
                          {responses:?}"
                     );
                 }
@@ -826,7 +872,7 @@ fn serve_shutdown_scenario(recheck: bool) -> Scenario {
     };
 
     Scenario {
-        threads,
+        threads: vec![acceptor, shutdown, handler],
         finale: Some(finale),
     }
 }
@@ -1116,168 +1162,100 @@ pub fn serve_shutdown_without_recheck() -> Scenario {
     serve_shutdown_scenario(false)
 }
 
-// -- Serve event-loop wake ordering -----------------------------------
+// -- Serve shutdown wake across the workers ---------------------------
 
-/// The shutdown-flag/eventfd-wake handshake between
-/// `ServerState::trigger` and the epoll event loop, mocked 1:1:
+/// How `ServerState::trigger` wakes the symmetric workers blocked on
+/// the one shared epoll set, mocked 1:1:
 ///
-/// * `trigger` sets the shutdown flag **before** writing the eventfd
-///   (`flag_first = true`, the real ordering);
-/// * the loop, when woken, drains the eventfd and *then* checks the
-///   flag; with nothing pending and no flag it goes back to a blocking
-///   `epoll_wait` — modelled here as parking.
+/// * `trigger` raises the shutdown flag **before** writing the
+///   eventfd, and nothing ever reads the eventfd: level-triggered, it
+///   stays readable, so every wait on the set returns;
+/// * a worker checks the flag before each wait. Seeing it, the worker
+///   counts itself out, and the last one out takes the waker out of
+///   the set — its drain must not spin on it. Without the flag, a wait
+///   returns while the waker is readable and in the set, and parks
+///   otherwise.
 ///
-/// Flipping the order (wake before flag) lets the loop consume the
-/// wake, observe a clear flag, and block again with no further wake
-/// coming — shutdown wedges. The quiescence invariant: the loop must
-/// never be parked while the flag is set with no wake pending.
-fn serve_wake_order_scenario(flag_first: bool) -> Scenario {
+/// Invariants: a worker the wake returns finds the flag up (else it
+/// spins on the readable waker), and at quiescence no worker is parked
+/// with no wake coming — the flag up and the waker no longer readable
+/// in the set.
+///
+/// Two seeded bugs: `flag_first = false` writes the eventfd before
+/// raising the flag; `consume = true` has each woken worker read the
+/// eventfd (what a single event loop may do), so the first worker the
+/// wake reaches takes it from the others.
+fn serve_wake_order_scenario(flag_first: bool, consume: bool) -> Scenario {
+    const WORKERS: usize = 2;
     let flag = Arc::new(AtomicBool::new(false));
-    let wake_pending = Arc::new(AtomicBool::new(false));
-    let parked = Arc::new(AtomicBool::new(false));
+    let readable = Arc::new(AtomicBool::new(false));
+    let in_set = Arc::new(AtomicBool::new(true));
+    let serving = Arc::new(AtomicUsize::new(WORKERS));
+    let parked: Arc<Vec<AtomicBool>> =
+        Arc::new((0..WORKERS).map(|_| AtomicBool::new(false)).collect());
 
     let trigger = {
         let flag = Arc::clone(&flag);
-        let wake_pending = Arc::clone(&wake_pending);
+        let readable = Arc::clone(&readable);
         Box::new(move || {
             if flag_first {
                 flag.store(true, Ordering::SeqCst);
                 point("mock.wake.flagged");
-                wake_pending.store(true, Ordering::SeqCst);
+                readable.store(true, Ordering::SeqCst);
             } else {
-                wake_pending.store(true, Ordering::SeqCst);
+                readable.store(true, Ordering::SeqCst);
                 point("mock.wake.woken");
                 flag.store(true, Ordering::SeqCst);
             }
         }) as Box<dyn FnOnce() + Send>
     };
-    let event_loop = {
+    let mut threads = vec![trigger];
+    for w in 0..WORKERS {
         let flag = Arc::clone(&flag);
-        let wake_pending = Arc::clone(&wake_pending);
+        let readable = Arc::clone(&readable);
+        let in_set = Arc::clone(&in_set);
+        let serving = Arc::clone(&serving);
         let parked = Arc::clone(&parked);
-        Box::new(move || {
-            // Terminates: the trigger arms the wake at most once, so at
-            // most two iterations run before a park or a flag sighting.
+        threads.push(Box::new(move || {
+            // Terminates: a wait returns only on the wake, and the
+            // wake implies the flag (asserted), so the second pass
+            // observes it.
             loop {
-                let woke = wake_pending.swap(false, Ordering::SeqCst);
-                point("mock.loop.drained");
                 if flag.load(Ordering::SeqCst) {
-                    return; // observed shutdown; sweep follows
-                }
-                if !woke {
-                    // Nothing pending: the real loop re-enters a
-                    // blocking epoll_wait here.
-                    parked.store(true, Ordering::SeqCst);
+                    if serving.fetch_sub(1, Ordering::SeqCst) == 1 {
+                        point("mock.wake.last");
+                        in_set.store(false, Ordering::SeqCst);
+                    }
                     return;
                 }
+                point("mock.wake.wait");
+                if !(readable.load(Ordering::SeqCst) && in_set.load(Ordering::SeqCst)) {
+                    // Nothing ready: the real worker blocks in
+                    // epoll_wait here.
+                    parked[w].store(true, Ordering::SeqCst); // bounds: w < WORKERS
+                    return;
+                }
+                if consume {
+                    readable.store(false, Ordering::SeqCst);
+                }
+                assert!(
+                    flag.load(Ordering::SeqCst),
+                    "worker {w} woke to the shutdown wake with the flag still \
+                     down — it spins on the readable waker"
+                );
             }
-        }) as Box<dyn FnOnce() + Send>
-    };
-    let finale = Box::new(move || {
-        // A parked loop is fine while a wake is pending (epoll_wait
-        // returns immediately) — but parked with the flag set and the
-        // eventfd drained means no one will ever deliver the shutdown.
-        assert!(
-            !(parked.load(Ordering::SeqCst)
-                && flag.load(Ordering::SeqCst)
-                && !wake_pending.load(Ordering::SeqCst)),
-            "event loop parked in epoll_wait with the shutdown flag set \
-             and the wake already consumed — shutdown wedges"
-        );
-    }) as Box<dyn FnOnce() + Send>;
-    Scenario {
-        threads: vec![trigger, event_loop],
-        finale: Some(finale),
+        }) as Box<dyn FnOnce() + Send>);
     }
-}
-
-/// The faithful flag-then-wake ordering of `ServerState::trigger`.
-pub fn serve_wake_order() -> Scenario {
-    serve_wake_order_scenario(true)
-}
-
-/// The broken wake-then-flag variant; used by self-tests to prove the
-/// checker finds the lost-wakeup race it exists to close.
-pub fn serve_wake_order_broken() -> Scenario {
-    serve_wake_order_scenario(false)
-}
-
-// -- Serve pipelined response ordering --------------------------------
-
-/// The pipelining contract (`PROTOCOL.md`): responses leave in request
-/// order. The event loop guarantees this structurally — all frames
-/// parsed from one readable connection form a *burst* executed
-/// start-to-finish by a single worker, with at most one burst in
-/// flight per connection; cross-connection interleaving stays free.
-///
-/// `burst_sequential = false` models the tempting "faster" design —
-/// fanning one connection's requests out to the pool individually —
-/// and the self-test proves the checker catches the reordering it
-/// allows.
-fn serve_pipeline_order_scenario(burst_sequential: bool) -> Scenario {
-    fn push(out: &Arc<Mutex<Vec<u64>>>, v: u64) {
-        match out.lock() {
-            Ok(mut g) => g.push(v),
-            Err(p) => p.into_inner().push(v),
-        }
-    }
-    let conn_a: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let conn_b: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let threads: Vec<Box<dyn FnOnce() + Send>> = if burst_sequential {
-        // One worker owns each burst: connection A's three pipelined
-        // requests on one thread, connection B's two on another.
-        let a = Arc::clone(&conn_a);
-        let b = Arc::clone(&conn_b);
-        vec![
-            Box::new(move || {
-                for i in 1..=3 {
-                    point("mock.pipe.exec");
-                    push(&a, i);
-                }
-            }),
-            Box::new(move || {
-                for i in 1..=2 {
-                    point("mock.pipe.exec");
-                    push(&b, i);
-                }
-            }),
-        ]
-    } else {
-        // Connection A's burst split across two pool workers.
-        let a1 = Arc::clone(&conn_a);
-        let a2 = Arc::clone(&conn_a);
-        vec![
-            Box::new(move || {
-                point("mock.pipe.exec");
-                push(&a1, 1);
-                point("mock.pipe.exec");
-                push(&a1, 3);
-            }),
-            Box::new(move || {
-                point("mock.pipe.exec");
-                push(&a2, 2);
-            }),
-        ]
-    };
     let finale = Box::new(move || {
-        let a = match conn_a.lock() {
-            Ok(g) => g.clone(),
-            Err(p) => p.into_inner().clone(),
-        };
-        assert_eq!(
-            a,
-            vec![1, 2, 3],
-            "connection A's responses left out of request order"
-        );
-        let b = match conn_b.lock() {
-            Ok(g) => g.clone(),
-            Err(p) => p.into_inner().clone(),
-        };
-        if !b.is_empty() {
-            assert_eq!(
-                b,
-                vec![1, 2],
-                "connection B's responses left out of request order"
+        // A parked worker is fine while the waker is readable in the
+        // set (epoll_wait returns at once) — but parked with the flag
+        // up and no wake left means it never sees the shutdown.
+        let wake_coming = readable.load(Ordering::SeqCst) && in_set.load(Ordering::SeqCst);
+        for (w, p) in parked.iter().enumerate() {
+            assert!(
+                !(p.load(Ordering::SeqCst) && flag.load(Ordering::SeqCst) && !wake_coming),
+                "worker {w} parked in epoll_wait with the shutdown flag up and \
+                 the wake already consumed — shutdown wedges"
             );
         }
     }) as Box<dyn FnOnce() + Send>;
@@ -1287,15 +1265,116 @@ fn serve_pipeline_order_scenario(burst_sequential: bool) -> Scenario {
     }
 }
 
-/// The faithful burst-per-worker dispatch model.
-pub fn serve_pipeline_order() -> Scenario {
-    serve_pipeline_order_scenario(true)
+/// The faithful flag-then-wake ordering with a never-read waker.
+pub fn serve_wake_order() -> Scenario {
+    serve_wake_order_scenario(true, false)
 }
 
-/// The broken per-request-fan-out variant; used by self-tests to prove
-/// the checker finds the reordering it exists to rule out.
-pub fn serve_pipeline_order_broken() -> Scenario {
+/// The broken wake-then-flag variant; used by self-tests to prove the
+/// checker finds the spin it exists to rule out.
+pub fn serve_wake_order_broken() -> Scenario {
+    serve_wake_order_scenario(false, false)
+}
+
+/// The broken wake-consuming variant; used by self-tests to prove the
+/// checker finds the lost wakeup it exists to rule out.
+pub fn serve_wake_order_consumed() -> Scenario {
+    serve_wake_order_scenario(true, true)
+}
+
+// -- Serve pipelined response ordering --------------------------------
+
+/// The pipelining contract (`PROTOCOL.md`): responses leave in request
+/// order. The workers guarantee it by one-shot ownership: a
+/// connection's readiness report reaches one worker and disarms the
+/// socket; that worker pumps every request the socket has, executes
+/// them in order, queues the responses — and only then re-arms. Between
+/// a report and its re-arm no other worker can take the connection;
+/// other connections stay free to run on other workers.
+///
+/// Mocked: the connection has requests 1 and 2 on the wire, the client
+/// sends 3 later, and two workers compete for its reports.
+/// `rearm_first = true` re-arms right after the pump, before executing —
+/// the tempting "let the next burst start early" design, which fans one
+/// connection's requests out across workers; the self-test proves the
+/// checker catches the reordering it allows.
+fn serve_pipeline_order_scenario(rearm_first: bool) -> Scenario {
+    struct Wire {
+        armed: bool,
+        requests: Vec<u64>,
+    }
+    fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+        match m.lock() {
+            Ok(g) => g,
+            Err(p) => p.into_inner(),
+        }
+    }
+    let wire = Arc::new(Mutex::new(Wire {
+        armed: true,
+        requests: vec![1, 2],
+    }));
+    let out: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+
+    let client = {
+        let wire = Arc::clone(&wire);
+        Box::new(move || {
+            point("mock.pipe.send");
+            lock(&wire).requests.push(3);
+        }) as Box<dyn FnOnce() + Send>
+    };
+    let mut threads = vec![client];
+    for _ in 0..2 {
+        let wire = Arc::clone(&wire);
+        let out = Arc::clone(&out);
+        threads.push(Box::new(move || {
+            for _ in 0..3 {
+                point("mock.pipe.wait");
+                // The one-shot report: taking it disarms the socket;
+                // the pump takes every request on the wire.
+                let burst = {
+                    let mut w = lock(&wire);
+                    if !w.armed || w.requests.is_empty() {
+                        continue;
+                    }
+                    w.armed = false;
+                    std::mem::take(&mut w.requests)
+                };
+                if rearm_first {
+                    lock(&wire).armed = true;
+                }
+                for r in burst {
+                    point("mock.pipe.exec");
+                    lock(&out).push(r);
+                }
+                if !rearm_first {
+                    lock(&wire).armed = true;
+                }
+            }
+        }) as Box<dyn FnOnce() + Send>);
+    }
+    let finale = Box::new(move || {
+        let got = lock(&out).clone();
+        let want: Vec<u64> = (1..=got.len() as u64).collect();
+        assert_eq!(
+            got, want,
+            "the connection's responses left out of request order"
+        );
+    }) as Box<dyn FnOnce() + Send>;
+    Scenario {
+        threads,
+        finale: Some(finale),
+    }
+}
+
+/// The faithful one-shot ownership model: re-arm after the burst.
+pub fn serve_pipeline_order() -> Scenario {
     serve_pipeline_order_scenario(false)
+}
+
+/// The broken re-arm-before-executing variant; used by self-tests to
+/// prove the checker finds the reordering it exists to rule out.
+pub fn serve_pipeline_order_broken() -> Scenario {
+    serve_pipeline_order_scenario(true)
 }
 
 /// A registered scenario: name, schedule budget, factory.
@@ -1326,7 +1405,6 @@ pub fn all_scenarios() -> Vec<NamedScenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     /// Two increments without mutual exclusion: the checker must find
     /// the lost-update interleaving.
@@ -1445,6 +1523,26 @@ mod tests {
                 max_schedules: 500,
             },
             &serve_wake_order_broken,
+        );
+        let v = out
+            .violation
+            .expect("the wake-before-flag spin must be found");
+        assert!(
+            v.message.contains("spins on the readable waker"),
+            "unexpected violation: {}",
+            v.message
+        );
+    }
+
+    #[test]
+    fn wake_model_consuming_the_wake_has_the_race() {
+        let out = explore(
+            "serve_wake_order_consumed",
+            SchedOpts {
+                preemption_bound: 4,
+                max_schedules: 500,
+            },
+            &serve_wake_order_consumed,
         );
         let v = out.violation.expect("the lost-wakeup race must be found");
         assert!(

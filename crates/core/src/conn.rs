@@ -1,11 +1,15 @@
-//! Per-connection state machine for the event-loop server.
+//! Per-connection state machine for the serve workers.
 //!
 //! Each accepted socket becomes a [`Conn`]: a nonblocking stream plus
 //! a read buffer (unparsed bytes), a write buffer (responses queued in
-//! request order) and a handful of state bits. The readiness loop in
-//! [`crate::serve`] owns every `Conn`; nothing here blocks, so an idle
-//! connection costs the buffers below and a file descriptor — not a
-//! thread.
+//! request order) and a handful of state bits. A `Conn` rests in the
+//! server's registry while its socket is armed; the one worker that
+//! receives its one-shot readiness report takes it out, runs the whole
+//! burst — [`Conn::pump`], execute, [`Conn::queue_line`],
+//! [`Conn::flush`] — and puts it back before re-arming it with
+//! [`Conn::desired_interest`] (see [`crate::serve`]). Nothing here
+//! blocks or locks, so an idle connection costs the buffers below and
+//! a file descriptor — not a thread.
 //!
 //! # Framing
 //!
@@ -53,8 +57,8 @@ pub const WRITE_HIGH_WATERMARK: usize = 256 * 1024;
 pub const WRITE_LOW_WATERMARK: usize = 64 * 1024;
 
 /// Most bytes a single [`Conn::pump`] call will pull off one socket —
-/// a fairness bound so one firehose connection cannot starve the rest
-/// of the loop. Level-triggered readiness re-reports the remainder.
+/// a bound on one burst, so a firehose connection cannot hold its
+/// worker indefinitely. The re-arm re-reports the remainder.
 const PUMP_BUDGET_BYTES: usize = 256 * 1024;
 
 /// Read chunk size; also the granularity of the pump budget.
@@ -75,54 +79,38 @@ pub enum Frame {
     Oversized,
 }
 
-/// One live connection owned by the readiness loop. See the
-/// [module docs](self) for the framing and backpressure rules.
+/// One live connection. See the [module docs](self) for the framing
+/// and backpressure rules.
 pub struct Conn {
     stream: TcpStream,
-    token: u64,
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
     write_pos: usize,
-    /// Exactly one burst of frames may be executing on the worker pool;
-    /// while it is, the loop neither reads nor dispatches for this
-    /// connection (which is what keeps responses in request order).
-    in_flight: bool,
     read_closed: bool,
     fatal: bool,
     paused: bool,
     /// Remaining discard budget while resynchronizing past an
     /// over-long line; `0` means not draining.
     drain_left: u64,
-    /// The interest bits currently registered with the poller — cached
-    /// so the loop only issues `epoll_ctl` on a real change.
-    pub(crate) registered: u32,
 }
 
 impl Conn {
     /// Adopts an accepted stream: switches it nonblocking and disables
     /// Nagle (responses are already coalesced per burst; delaying them
     /// further only hurts tail latency).
-    pub fn new(stream: TcpStream, token: u64) -> std::io::Result<Conn> {
+    pub fn new(stream: TcpStream) -> std::io::Result<Conn> {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
         Ok(Conn {
             stream,
-            token,
             read_buf: Vec::new(),
             write_buf: Vec::new(),
             write_pos: 0,
-            in_flight: false,
             read_closed: false,
             fatal: false,
             paused: false,
             drain_left: 0,
-            registered: 0,
         })
-    }
-
-    /// The token this connection is registered under.
-    pub fn token(&self) -> u64 {
-        self.token
     }
 
     /// The underlying socket fd, for poller registration.
@@ -136,16 +124,6 @@ impl Conn {
         &self.stream
     }
 
-    /// Whether a burst is currently executing on the worker pool.
-    pub fn is_in_flight(&self) -> bool {
-        self.in_flight
-    }
-
-    /// Marks a burst dispatched (`true`) or completed (`false`).
-    pub fn set_in_flight(&mut self, v: bool) {
-        self.in_flight = v;
-    }
-
     /// Marks the connection unrecoverable; it reports [`finished`]
     /// immediately and is dropped without further I/O.
     ///
@@ -155,7 +133,7 @@ impl Conn {
     }
 
     /// Half-closes the read side: no further requests are parsed (any
-    /// buffered, not-yet-dispatched input is discarded — the same fate
+    /// buffered, not-yet-executed input is discarded — the same fate
     /// undelivered pipelined requests met under the blocking server),
     /// while queued responses still flush. Used at shutdown and after
     /// a `shutdown` acknowledgement.
@@ -177,18 +155,18 @@ impl Conn {
         self.write_buf.len() - self.write_pos
     }
 
-    /// True when the loop can drop this connection: it is either
-    /// unrecoverable, or fully drained (read side closed, no burst in
-    /// flight, every queued response byte accepted by the socket).
+    /// True when the server can drop this connection: it is either
+    /// unrecoverable, or fully drained (read side closed, every queued
+    /// response byte accepted by the socket).
     pub fn finished(&self) -> bool {
-        self.fatal || (self.read_closed && !self.in_flight && self.write_backlog() == 0)
+        self.fatal || (self.read_closed && self.write_backlog() == 0)
     }
 
     /// The readiness bits this connection currently wants, applying the
-    /// backpressure hysteresis: readable unless a burst is in flight or
-    /// the write backlog is past the high watermark (draining an
-    /// over-long line keeps reading — those bytes are discarded, not
-    /// buffered); writable while any response bytes are queued.
+    /// backpressure hysteresis: readable unless the write backlog is
+    /// past the high watermark (draining an over-long line keeps
+    /// reading — those bytes are discarded, not buffered); writable
+    /// while any response bytes are queued.
     pub fn desired_interest(&mut self) -> u32 {
         let backlog = self.write_backlog();
         if backlog > WRITE_HIGH_WATERMARK {
@@ -200,7 +178,7 @@ impl Conn {
             return 0;
         }
         let mut want = 0;
-        if !self.read_closed && (self.drain_left > 0 || (!self.in_flight && !self.paused)) {
+        if !self.read_closed && (self.drain_left > 0 || !self.paused) {
             want |= poll::IN;
         }
         if backlog > 0 {
@@ -230,6 +208,12 @@ impl Conn {
                     self.read_buf.extend_from_slice(&chunk[..n]);
                     budget = budget.saturating_sub(n);
                     self.parse(frames, false);
+                    if n < chunk.len() {
+                        // A short read emptied the socket; the re-arm
+                        // reports whatever arrives next, so skip the
+                        // read that would only say `WouldBlock`.
+                        return;
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -326,9 +310,9 @@ impl Conn {
         }
     }
 
-    /// Queues response bytes (already newline-terminated, in request
-    /// order) behind whatever is still unflushed.
-    pub fn queue_response(&mut self, bytes: &[u8]) {
+    /// Queues one response line, newline-terminated, behind whatever is
+    /// still unflushed — responses queue in request order.
+    pub fn queue_line(&mut self, line: &str) {
         if self.fatal {
             return;
         }
@@ -337,7 +321,8 @@ impl Conn {
             self.write_buf.drain(..self.write_pos);
             self.write_pos = 0;
         }
-        self.write_buf.extend_from_slice(bytes);
+        self.write_buf.extend_from_slice(line.as_bytes());
+        self.write_buf.push(b'\n');
     }
 
     /// Writes queued bytes until the socket stops accepting them — one
@@ -384,7 +369,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (served, _) = listener.accept().unwrap();
-        (client, Conn::new(served, 9).unwrap())
+        (client, Conn::new(served).unwrap())
     }
 
     fn lines_of(frames: &[Frame]) -> Vec<String> {
@@ -471,7 +456,7 @@ mod tests {
     #[test]
     fn backpressure_pauses_reads_until_backlog_drains() {
         let (_client, mut conn) = pair();
-        conn.queue_response(&vec![b'a'; WRITE_HIGH_WATERMARK + 1]);
+        conn.queue_line(&"a".repeat(WRITE_HIGH_WATERMARK));
         // Backlog above the high watermark: reads pause, writes wanted.
         let want = conn.desired_interest();
         assert_eq!(want & poll::IN, 0);
@@ -484,16 +469,22 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_masks_reads_and_finished_waits_for_it() {
+    fn finished_waits_for_eof_and_a_flushed_backlog() {
         let (client, mut conn) = pair();
-        conn.set_in_flight(true);
-        assert_eq!(conn.desired_interest() & poll::IN, 0);
+        conn.queue_line("{\"op\":\"ping\"}");
+        assert_ne!(conn.desired_interest() & poll::IN, 0);
         drop(client);
         std::thread::sleep(std::time::Duration::from_millis(30));
         let mut frames = Vec::new();
         conn.pump(&mut frames);
-        assert!(!conn.finished(), "in-flight burst must complete first");
-        conn.set_in_flight(false);
+        assert!(frames.is_empty());
+        // EOF seen, but a response is still queued: not done, and it
+        // now wants only to write.
+        assert!(!conn.finished(), "queued response must flush first");
+        assert_eq!(conn.desired_interest(), poll::OUT);
+        // The peer is gone, so the flush ends in an error or lands in
+        // the socket buffer — either way the connection is done.
+        conn.flush();
         assert!(conn.finished());
     }
 }

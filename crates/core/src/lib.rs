@@ -54,11 +54,11 @@
 //!   [`wire::handle_line`] as the single executor behind both the TCP
 //!   server and the CLI's offline client mode;
 //! * [`serve`] — the long-lived query server: a [`serve::Server`]
-//!   built on a nonblocking `epoll` readiness loop ([`poll`]) with
+//!   whose symmetric workers share one one-shot `epoll` set ([`poll`])
+//!   and run each connection's burst where its readiness lands, with
 //!   per-connection state machines ([`conn`]), protocol pipelining
-//!   with in-order responses, a decoupled query-execution worker pool
-//!   and graceful shutdown, keeping the decode cache and query plans
-//!   warm across requests;
+//!   with in-order responses and graceful shutdown, keeping the decode
+//!   cache and query plans warm across requests;
 //! * [`error`] — the unified [`Error`] type every public fallible
 //!   function returns;
 //! * [`oracle`] — brute-force answers on uncompressed data, used as

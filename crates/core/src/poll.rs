@@ -1,18 +1,21 @@
-//! Minimal raw-fd readiness primitives for the event-loop server.
+//! Minimal raw-fd readiness primitives for the serve workers.
 //!
 //! [`Poller`] wraps Linux `epoll` and [`Waker`] wraps an `eventfd`,
 //! both through hand-declared `extern "C"` prototypes — the workspace
 //! builds offline with no async runtime and no `libc` crate, and the
-//! serve loop needs exactly four syscalls: create, register, wait,
-//! wake. Sockets themselves stay ordinary [`std::net`] types switched
-//! to nonblocking mode; only the file descriptors cross this module's
+//! server needs exactly four syscalls: create, register, wait, wake.
+//! Sockets themselves stay ordinary [`std::net`] types switched to
+//! nonblocking mode; only the file descriptors cross this module's
 //! boundary (borrowed via [`std::os::fd::AsRawFd`], never owned here,
 //! so descriptor lifetime stays with the `TcpStream`/`TcpListener`
 //! that owns it).
 //!
-//! Level-triggered only: the serve loop re-arms interest explicitly
-//! per connection state (see `conn.rs`), which keeps the state machine
-//! auditable — a readiness bit is never "remembered" by the kernel on
+//! Level-triggered, optionally [`ONESHOT`]: a one-shot registration
+//! reports once to one waiter and then stays disarmed until
+//! [`Poller::modify`] re-arms it, re-evaluating readiness on the spot.
+//! The serve workers arm every socket that way, so a connection is
+//! owned by exactly one worker between a report and its re-arm (see
+//! `serve.rs`); a readiness bit is never "remembered" by the kernel on
 //! our behalf.
 
 use std::io;
@@ -28,6 +31,9 @@ pub const ERR: u32 = 0x8;
 pub const HUP: u32 = 0x10;
 /// Peer half-closed its write side (kernel `EPOLLRDHUP`).
 pub const RDHUP: u32 = 0x2000;
+/// Report once, then disarm until re-armed (kernel `EPOLLONESHOT`; an
+/// arming flag, never reported).
+pub const ONESHOT: u32 = 1 << 30;
 
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EPOLL_CTL_ADD: i32 = 1;
@@ -70,7 +76,6 @@ extern "C" {
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut Event) -> i32;
     fn epoll_wait(epfd: i32, events: *mut Event, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
 }
@@ -162,9 +167,11 @@ impl Drop for Poller {
     }
 }
 
-/// A cross-thread wakeup channel for a blocked [`Poller::wait`]:
-/// a nonblocking `eventfd` registered with the poller. Worker threads
-/// call [`Waker::wake`]; the loop drains it and re-checks its queues.
+/// A one-way broadcast to every thread blocked in [`Poller::wait`]: a
+/// nonblocking `eventfd` registered level-triggered with the poller.
+/// Nothing ever reads it, so once [`Waker::wake`] has run it stays
+/// readable, and every wait on the set — present or future — returns
+/// with its token until the fd leaves the set.
 pub struct Waker {
     fd: RawFd,
 }
@@ -185,8 +192,8 @@ impl Waker {
         self.fd
     }
 
-    /// Makes the fd readable. Nonblocking and idempotent-enough: if the
-    /// counter is already saturated the write fails with `EAGAIN`,
+    /// Makes the fd readable for good. Nonblocking and idempotent: if
+    /// the counter is already saturated the write fails with `EAGAIN`,
     /// which still leaves the fd readable — the wakeup is never lost.
     pub fn wake(&self) {
         let one: u64 = 1;
@@ -194,15 +201,6 @@ impl Waker {
         // SAFETY: writes 8 bytes from a live stack buffer; an eventfd
         // write either consumes exactly 8 or fails.
         unsafe { write(self.fd, buf.as_ptr(), buf.len()) };
-    }
-
-    /// Resets the counter so the fd stops reporting readable. Returns
-    /// whether any wakeups had been posted since the last drain.
-    pub fn drain(&self) -> bool {
-        let mut buf = [0u8; 8];
-        // SAFETY: reads at most 8 bytes into a live stack buffer.
-        let n = unsafe { read(self.fd, buf.as_mut_ptr(), buf.len()) };
-        n == 8
     }
 }
 
@@ -223,26 +221,57 @@ mod tests {
 
     #[test]
     fn waker_wakes_a_blocked_wait_across_threads() {
-        let poller = Poller::new().unwrap();
+        let poller = std::sync::Arc::new(Poller::new().unwrap());
         let waker = std::sync::Arc::new(Waker::new().unwrap());
         poller.add(waker.fd(), 7, IN).unwrap();
 
-        let w = std::sync::Arc::clone(&waker);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            w.wake();
-        });
+        // Two threads block on the same set; one wake releases both.
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let p = std::sync::Arc::clone(&poller);
+                std::thread::spawn(move || {
+                    let mut events = [Event::zeroed(); 4];
+                    let n = p.wait(&mut events, 5_000).unwrap();
+                    (n, events[0].token(), events[0].readiness())
+                })
+            })
+            .collect();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        waker.wake();
+        for w in waiters {
+            let (n, token, ready) = w.join().unwrap();
+            assert_eq!(n, 1);
+            assert_eq!(token, 7);
+            assert!(ready & IN != 0);
+        }
+        // Never drained: a later wait still sees it, until it leaves
+        // the set.
+        let mut events = [Event::zeroed(); 4];
+        assert_eq!(poller.wait(&mut events, 0).unwrap(), 1);
+        poller.remove(waker.fd()).unwrap();
+        assert_eq!(poller.wait(&mut events, 0).unwrap(), 0);
+    }
+
+    #[test]
+    fn oneshot_reports_once_until_rearmed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        served.set_nonblocking(true).unwrap();
+
+        let poller = Poller::new().unwrap();
+        poller.add(served.as_raw_fd(), 5, IN | ONESHOT).unwrap();
+        (&client).write_all(b"x").unwrap();
 
         let mut events = [Event::zeroed(); 4];
-        let n = poller.wait(&mut events, 5_000).unwrap();
-        t.join().unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(events[0].token(), 7);
-        assert!(events[0].readiness() & IN != 0);
-        assert!(waker.drain());
-        // Drained: an immediate poll reports nothing.
+        assert_eq!(poller.wait(&mut events, 2_000).unwrap(), 1);
+        // Still readable, but disarmed by the report.
         assert_eq!(poller.wait(&mut events, 0).unwrap(), 0);
-        assert!(!waker.drain());
+        // Re-arming re-evaluates readiness: the unread byte reports.
+        poller.modify(served.as_raw_fd(), 5, IN | ONESHOT).unwrap();
+        assert_eq!(poller.wait(&mut events, 0).unwrap(), 1);
+        assert_eq!(events[0].token(), 5);
+        assert_eq!(events[0].readiness() & ONESHOT, 0);
     }
 
     #[test]

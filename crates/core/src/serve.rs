@@ -9,27 +9,31 @@
 //! `bench_queries` "warm" numbers measure, instead of the re-open-per-
 //! invocation cost the CLI's offline `query` pays.
 //!
-//! # Event loop + worker pool
+//! # Symmetric workers on one epoll set
 //!
-//! One readiness loop owns every connection, built on the raw-fd
-//! `epoll` wrappers in [`crate::poll`] (std-only, no async runtime)
-//! and the per-connection state machines in [`crate::conn`]. The loop
-//! accepts, reads and frames request lines, and flushes responses; an
-//! idle connection therefore costs two buffers and a file descriptor,
-//! not a thread, so connection count is no longer capped by
-//! `--threads`.
+//! `threads` workers are the whole server — the thread calling
+//! [`Server::run`] is one of them; there is no event-loop thread. Every
+//! worker blocks on one shared [`poll::Poller`] (std-only raw `epoll`)
+//! holding the listener, the shutdown waker and every connection
+//! ([`crate::conn`] state machines). An idle connection costs two
+//! buffers and a file descriptor, not a thread.
 //!
-//! Query execution stays on a fixed pool of `threads` workers, decoupled
-//! from connection ownership: the loop gathers every complete line a
-//! readable connection has into one **burst**, dispatches the burst to
-//! a worker, and queues the worker's concatenated responses back onto
-//! that connection's write buffer in one coalesced flush. At most one
-//! burst per connection is in flight, and a burst executes its lines
-//! sequentially — that is the whole in-order pipelining guarantee (a
-//! pipelined query behind an `ingest` on the same connection observes
-//! the ingest, and responses always stream back in request order; see
-//! `PROTOCOL.md`). Bursts from different connections run on different
-//! workers concurrently, sharing one decode cache underneath.
+//! Sockets are armed [`poll::ONESHOT`]: a readiness report reaches one
+//! worker and disarms the socket, so that worker **owns** the
+//! connection until it re-arms it. The owner runs the whole **burst**
+//! itself — reads and frames every complete request line the socket
+//! has, executes them in order, queues the responses and flushes them
+//! in one coalesced write — and re-arms only after the burst's
+//! responses are queued. That ownership is the whole in-order
+//! pipelining guarantee (a pipelined query behind an `ingest` on the
+//! same connection observes the ingest, and responses always stream
+//! back in request order; see `PROTOCOL.md`). A long burst occupies
+//! only the worker that took it; the others keep serving every other
+//! connection, sharing one decode cache underneath.
+//!
+//! Per-thread loops owning their connections (`SO_REUSEPORT`) were
+//! rejected for that reason: two busy connections hash to one of two
+//! threads half the time, and every read there waits behind an ingest.
 //!
 //! Clients may pipeline freely: send N request lines without awaiting,
 //! read N responses in order (`utcq client --pipeline N` does exactly
@@ -54,22 +58,20 @@
 //! gets the acknowledgement as its response), or the process calls
 //! [`ServerHandle::shutdown`]. Either way the flag is raised, every
 //! registered connection's **read** side is half-closed, and the
-//! eventfd waker unblocks the loop, which then
-//!
-//! 1. stops accepting new connections,
-//! 2. drains in flight: every dispatched burst finishes executing and
-//!    its responses flush completely (no response is ever truncated
-//!    mid-line; buffered-but-undispatched requests are dropped, as
-//!    they were under the blocking design), bounded by a drain
-//!    deadline for peers that never read, and
-//! 3. joins every worker before [`Server::run`] returns.
+//! eventfd waker is written — never read, so it wakes every blocked
+//! worker. Each worker finishes the burst it owns (no response is ever
+//! truncated mid-line; requests not yet taken into a burst are dropped)
+//! and sees the flag. All but the last to see it return; the last takes
+//! the waker and the listener out of the set, so nothing can make it
+//! spin, and drains: queued responses flush, bounded by a deadline for
+//! peers that never read. [`Server::run`] returns once every worker has.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::conn::{Conn, Frame};
@@ -80,102 +82,115 @@ use crate::wire;
 
 pub use crate::conn::DRAIN_BUDGET_BYTES;
 
-/// Default worker-pool size for [`Server::bind`] callers that take the
-/// CLI default.
+/// Default worker count for [`Server::bind`] callers that take the CLI
+/// default.
 pub const DEFAULT_THREADS: usize = 4;
 
 /// Poller token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
-/// Poller token of the shutdown/result waker.
+/// Poller token of the shutdown waker.
 const TOKEN_WAKER: u64 = 1;
 /// First token handed to an accepted connection.
 const TOKEN_FIRST_CONN: u64 = 2;
 
-/// Readiness reports drained per `epoll_wait` call.
-const EVENTS_PER_WAIT: usize = 256;
-
-/// How long shutdown waits for in-flight bursts to flush before
+/// How long shutdown waits for queued responses to flush before
 /// force-closing connections whose peers stopped reading.
 const SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
 
-/// One burst of frames from a single connection, executed sequentially
-/// by one worker — the unit of dispatch that preserves per-connection
-/// request order under pipelining.
-struct Job {
-    token: u64,
-    frames: Vec<Frame>,
-}
+/// How long the listener stays muted after `accept` ran out of
+/// descriptors, unless a connection closes first.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
-/// A completed burst: every response line of the burst, concatenated
-/// newline-terminated in request order, flushed as one write.
-struct Done {
-    token: u64,
-    bytes: Vec<u8>,
-    /// A `shutdown` request was acknowledged inside this burst (its
-    /// ack is the last line of `bytes`; later frames were dropped).
-    shutdown: bool,
+/// One live connection in the registry.
+struct Slot {
+    /// A clone of the socket, so [`ServerState::trigger`] can half-close
+    /// its read side from any thread — also while a worker owns the
+    /// connection.
+    stream: TcpStream,
+    /// The connection itself; `None` while a worker owns it (between
+    /// its readiness report and its re-arm).
+    conn: Option<Conn>,
 }
 
 /// Shared shutdown state: the flag, the live-connection registry and
-/// the eventfd waker that unblocks the readiness loop.
+/// the eventfd waker that unblocks the workers.
 ///
-/// The registry maps a per-connection token to a clone of its stream,
-/// inserted at accept and removed when the loop drops the connection —
-/// entries exist exactly while a connection is live, so the registry
-/// neither leaks descriptors on a long-lived server nor holds client
-/// sockets half-open after shutdown. It exists so [`trigger`] can
+/// The registry maps a per-connection token to its [`Slot`], inserted
+/// at accept and removed when the connection is dropped — entries exist
+/// exactly while a connection is live, so the registry neither leaks
+/// descriptors on a long-lived server nor holds client sockets
+/// half-open after shutdown. Its stream clones let [`trigger`]
 /// half-close read sides from *any* thread, making EOF visible to
-/// clients mid-read immediately, before the loop itself gets to its
-/// own sweep.
+/// clients mid-read immediately.
 ///
 /// [`trigger`]: ServerState::trigger
 struct ServerState {
     shutting_down: AtomicBool,
-    conns: Mutex<HashMap<u64, TcpStream>>,
+    conns: Mutex<HashMap<u64, Slot>>,
     addr: SocketAddr,
     waker: poll::Waker,
 }
 
 impl ServerState {
+    fn slots(&self) -> MutexGuard<'_, HashMap<u64, Slot>> {
+        // Nothing panics while holding the lock; a poisoned map is
+        // still consistent.
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Flips the server into shutdown: raise the flag, half-close every
-    /// registered connection's read side, wake the (possibly blocked)
-    /// readiness loop. Idempotent.
+    /// registered connection's read side, wake every blocked worker.
+    /// Idempotent.
     fn trigger(&self) {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        if let Ok(conns) = self.conns.lock() {
-            for c in conns.values() {
-                // Readers see EOF; the write half stays open so queued
-                // responses finish intact.
-                let _ = c.shutdown(Shutdown::Read);
-            }
+        for slot in self.slots().values() {
+            // Readers see EOF; the write half stays open so queued
+            // responses finish intact.
+            let _ = slot.stream.shutdown(Shutdown::Read);
         }
         self.waker.wake();
     }
 
-    /// Registers a freshly accepted connection under its token.
-    fn register(&self, token: u64, stream: &TcpStream) {
-        if let (Ok(mut conns), Ok(clone)) = (self.conns.lock(), stream.try_clone()) {
-            conns.insert(token, clone);
-        }
+    /// Registers a freshly accepted connection under its token. Refuses
+    /// it (dropping the socket) when its registry clone cannot be made:
+    /// shutdown could not half-close it.
+    fn register(&self, token: u64, conn: Conn) -> std::io::Result<()> {
+        let stream = conn.stream().try_clone()?;
+        let mut slots = self.slots();
+        let slot = slots.entry(token).or_insert(Slot {
+            stream,
+            conn: Some(conn),
+        });
         // Close the race with a concurrent trigger(): a connection
-        // accepted after the shutdown sweep but registered only now
-        // would otherwise keep its read side open until the loop's own
-        // sweep. Checking after the insert means either the sweep saw
-        // our entry or we see the flag — also covers a failed try_clone
-        // above, since we half-close the stream itself.
+        // accepted after the shutdown sweep would otherwise keep its
+        // read side open, and idle, never report again. Checking after
+        // the insert means either the sweep saw our entry or we see
+        // the flag.
         if self.shutting_down.load(Ordering::SeqCst) {
-            let _ = stream.shutdown(Shutdown::Read);
+            let _ = slot.stream.shutdown(Shutdown::Read);
+        }
+        Ok(())
+    }
+
+    /// Takes ownership of a connection whose readiness was reported.
+    fn take(&self, token: u64) -> Option<Conn> {
+        self.slots().get_mut(&token).and_then(|s| s.conn.take())
+    }
+
+    /// Returns an owned connection to the registry (before re-arming).
+    fn put_back(&self, token: u64, conn: Conn) {
+        if let Some(slot) = self.slots().get_mut(&token) {
+            slot.conn = Some(conn);
         }
     }
 
-    /// Drops the registry's clone, completing the close once the loop's
-    /// own stream is gone.
+    /// Drops the registry entry; the socket closes once the owner's
+    /// `Conn` is gone too.
     fn deregister(&self, token: u64) {
-        if let Ok(mut conns) = self.conns.lock() {
-            conns.remove(&token);
-        }
+        let gone = self.slots().remove(&token);
+        drop(gone); // outside the lock
     }
 }
 
@@ -190,7 +205,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Initiates the same graceful shutdown a `{"op":"shutdown"}`
     /// request does. Returns immediately; [`Server::run`] returns once
-    /// in-flight bursts have flushed and every worker has drained.
+    /// the workers have finished their bursts and drained.
     pub fn shutdown(&self) {
         self.state.trigger();
     }
@@ -223,9 +238,10 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (use port `0` for an ephemeral port) over an opened
-    /// container. `threads` is the worker-pool size (clamped to ≥ 1) —
-    /// execution parallelism only; connection count is independent.
-    /// The server starts read-only; see [`Server::writable`].
+    /// container. `threads` is the number of serve threads (clamped to
+    /// ≥ 1), [`Server::run`]'s caller included — execution parallelism
+    /// only; connection count is independent. The server starts
+    /// read-only; see [`Server::writable`].
     pub fn bind(opened: Arc<Opened>, addr: &str, threads: usize) -> Result<Self, Error> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -267,273 +283,267 @@ impl Server {
     }
 
     /// Serves until shut down (by a `shutdown` request or a
-    /// [`ServerHandle`]), then drains the worker pool and returns.
+    /// [`ServerHandle`]) on `threads` workers — this thread and
+    /// `threads - 1` spawned ones — then drains and returns.
     pub fn run(self) -> Result<(), Error> {
-        let poller = poll::Poller::new()?;
         self.listener.set_nonblocking(true)?;
-        poller.add(self.listener.as_raw_fd(), TOKEN_LISTENER, poll::IN)?;
-        poller.add(self.state.waker.fd(), TOKEN_WAKER, poll::IN)?;
+        let (listener, waker) = (self.listener.as_raw_fd(), self.state.waker.fd());
+        let pool = Pool {
+            server: &self,
+            poller: poll::Poller::new()?,
+            serving: AtomicUsize::new(self.threads),
+            next_token: AtomicU64::new(TOKEN_FIRST_CONN),
+            muted: AtomicBool::new(false),
+            muted_at: Mutex::new(Instant::now()),
+        };
+        let armed = poll::IN | poll::ONESHOT;
+        pool.poller.add(listener, TOKEN_LISTENER, armed)?;
+        pool.poller.add(waker, TOKEN_WAKER, poll::IN)?;
 
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (done_tx, done_rx) = mpsc::channel::<Done>();
-
+        let pool = &pool;
         let result = std::thread::scope(|scope| {
-            for _ in 0..self.threads {
-                let job_rx = Arc::clone(&job_rx);
-                let done_tx = done_tx.clone();
-                let opened = Arc::clone(&self.opened);
-                let state = Arc::clone(&self.state);
-                let writable = self.writable;
-                scope.spawn(move || worker_loop(&opened, &state, writable, &job_rx, &done_tx));
+            let others: Vec<_> = (1..self.threads)
+                .map(|_| scope.spawn(move || pool.worker()))
+                .collect();
+            let mut result = pool.worker();
+            for other in others {
+                let r = other
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                result = result.and(r);
             }
-            drop(done_tx);
-            // job_tx is moved in and dropped when the loop returns,
-            // which is what lets every worker's recv() fail and exit.
-            event_loop(&self, &poller, job_tx, &done_rx)
+            result
         });
-        // Every connection is gone; drop any remaining registry clones
+        // Every connection is gone; drop any remaining registry entries
         // so client sockets close fully (they would otherwise linger
         // half-open for as long as a ServerHandle is alive).
-        if let Ok(mut conns) = self.state.conns.lock() {
-            conns.clear();
-        }
+        self.state.slots().clear();
         result
     }
 }
 
-/// One worker: executes bursts sequentially (frame order == response
-/// order), posts the coalesced response bytes back and wakes the loop.
-fn worker_loop(
-    opened: &Opened,
-    state: &ServerState,
-    writable: bool,
-    job_rx: &Mutex<mpsc::Receiver<Job>>,
-    done_tx: &mpsc::Sender<Done>,
-) {
-    loop {
-        // Holding the lock only for the recv keeps one slow burst from
-        // serializing the whole pool.
-        let job = match job_rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
-        };
-        let Ok(job) = job else { return };
-        let mut bytes = Vec::new();
-        let mut shutdown = false;
-        for frame in job.frames {
-            let reply = match frame {
-                Frame::Line(line) => {
-                    if writable {
-                        wire::handle_line_writable(opened, &line)
-                    } else {
-                        wire::handle_line(opened, &line)
+/// What the workers of one [`Server::run`] share.
+struct Pool<'a> {
+    server: &'a Server,
+    poller: poll::Poller,
+    /// Workers that have not yet seen the shutdown flag; the last one
+    /// to see it drains.
+    serving: AtomicUsize,
+    next_token: AtomicU64,
+    /// Set while the listener stays muted because `accept` ran out of
+    /// descriptors, which it last did at `muted_at`.
+    muted: AtomicBool,
+    muted_at: Mutex<Instant>,
+}
+
+impl Pool<'_> {
+    /// One worker: serves until it sees the shutdown flag; the last
+    /// worker to see it stays on to drain.
+    fn worker(&self) -> Result<(), Error> {
+        let mut frames = Vec::new();
+        let served = self.serve(&mut frames);
+        if served.is_err() {
+            self.server.state.trigger();
+        }
+        if self.serving.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.drain(&mut frames);
+        }
+        served
+    }
+
+    /// Takes one readiness report at a time — never a batch, which
+    /// would queue a ready connection behind another one's burst — and
+    /// handles it, until the shutdown flag is up.
+    fn serve(&self, frames: &mut Vec<Frame>) -> Result<(), Error> {
+        let mut events = [poll::Event::zeroed(); 1];
+        while !self.server.state.shutting_down.load(Ordering::SeqCst) {
+            let timeout_ms = self.accept_backoff_left().map_or(-1, millis);
+            let n = self.poller.wait(&mut events, timeout_ms)?;
+            for &ev in events.iter().take(n) {
+                match ev.token() {
+                    TOKEN_LISTENER => self.accept_ready(),
+                    // The wake carries no data: the flag check above
+                    // observes the shutdown.
+                    TOKEN_WAKER => {}
+                    token => self.serve_conn(token, ev.readiness(), frames),
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The last worker's drain: every other worker has returned, so the
+    /// never-read waker and the listener leave the set; what remains
+    /// are connections flushing their last responses, bounded by
+    /// [`SHUTDOWN_DRAIN`] — [`Server::run`] closes whatever peers never
+    /// read.
+    fn drain(&self, frames: &mut Vec<Frame>) {
+        let state = &self.server.state;
+        let _ = self.poller.remove(state.waker.fd());
+        let _ = self.poller.remove(self.server.listener.as_raw_fd());
+        let deadline = Instant::now() + SHUTDOWN_DRAIN;
+        let mut events = [poll::Event::zeroed(); 1];
+        while !state.slots().is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            let Ok(n) = self.poller.wait(&mut events, millis(left)) else {
+                break;
+            };
+            for &ev in events.iter().take(n) {
+                self.serve_conn(ev.token(), ev.readiness(), frames);
+            }
+        }
+    }
+
+    /// Accepts every pending connection and registers each armed for
+    /// reads, then re-arms the listener — unless the process ran out of
+    /// descriptors: the pending connection keeps the listener readable,
+    /// so re-arming would spin every worker. It stays muted until a
+    /// connection closes or [`ACCEPT_BACKOFF`] passes.
+    fn accept_ready(&self) {
+        let state = &self.server.state;
+        loop {
+            match self.server.listener.accept() {
+                Ok((stream, _)) => {
+                    if state.shutting_down.load(Ordering::SeqCst) {
+                        continue; // drop it; we are no longer serving
+                    }
+                    let Ok(conn) = Conn::new(stream) else {
+                        continue;
+                    };
+                    let fd = conn.raw_fd();
+                    let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+                    if state.register(token, conn).is_err() {
+                        // Refused: no descriptor left for its clone.
+                        self.mute_accept();
+                        return;
+                    }
+                    let armed = self.poller.add(fd, token, poll::IN | poll::ONESHOT);
+                    if armed.is_err() {
+                        state.deregister(token);
                     }
                 }
+                Err(e) => match e.kind() {
+                    ErrorKind::WouldBlock => break,
+                    ErrorKind::Interrupted | ErrorKind::ConnectionAborted => {}
+                    // EMFILE, ENFILE, ENOBUFS & co.
+                    _ => {
+                        self.mute_accept();
+                        return;
+                    }
+                },
+            }
+        }
+        self.arm_listener();
+    }
+
+    fn arm_listener(&self) {
+        let _ = self.poller.modify(
+            self.server.listener.as_raw_fd(),
+            TOKEN_LISTENER,
+            poll::IN | poll::ONESHOT,
+        );
+    }
+
+    fn muted_at(&self) -> MutexGuard<'_, Instant> {
+        self.muted_at.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn mute_accept(&self) {
+        *self.muted_at() = Instant::now();
+        self.muted.store(true, Ordering::SeqCst);
+    }
+
+    /// Re-arms a muted listener (once, whoever gets here first).
+    fn unmute_accept(&self) {
+        if self.muted.swap(false, Ordering::SeqCst) {
+            self.arm_listener();
+        }
+    }
+
+    /// What is left of the accept back-off, if the listener is muted;
+    /// re-arms it once the back-off has passed.
+    fn accept_backoff_left(&self) -> Option<Duration> {
+        if !self.muted.load(Ordering::SeqCst) {
+            return None;
+        }
+        let left = ACCEPT_BACKOFF.saturating_sub(self.muted_at().elapsed());
+        if left.is_zero() {
+            self.unmute_accept();
+            return None;
+        }
+        Some(left)
+    }
+
+    /// Handles one readiness report for connection `token`, whose
+    /// one-shot registration it disarmed: flush, run the whole burst,
+    /// then re-arm the connection or drop it.
+    fn serve_conn(&self, token: u64, ready: u32, frames: &mut Vec<Frame>) {
+        let state = &self.server.state;
+        let Some(mut conn) = state.take(token) else {
+            return;
+        };
+        if ready & poll::ERR != 0 {
+            conn.mark_fatal();
+        }
+        if ready & poll::OUT != 0 {
+            conn.flush();
+        }
+        if state.shutting_down.load(Ordering::SeqCst) {
+            // Draining: nothing new executes; queued responses flush.
+            conn.half_close_read();
+        } else if ready & (poll::IN | poll::HUP | poll::RDHUP) != 0 {
+            self.run_burst(&mut conn, frames);
+        }
+        if conn.finished() {
+            // Closing both descriptors drops the socket from the set.
+            state.deregister(token);
+            drop(conn);
+            self.unmute_accept(); // a descriptor came free
+            return;
+        }
+        let fd = conn.raw_fd();
+        let want = conn.desired_interest() | poll::ONESHOT;
+        state.put_back(token, conn);
+        // Only now — with the burst's responses queued — may another
+        // report for this connection reach a worker.
+        if self.poller.modify(fd, token, want).is_err() {
+            state.deregister(token);
+        }
+    }
+
+    /// Reads and frames whatever `conn` has, executes the frames in
+    /// order and queues their responses (frame order == response
+    /// order), then flushes them in one write.
+    fn run_burst(&self, conn: &mut Conn, frames: &mut Vec<Frame>) {
+        let (opened, writable) = (&*self.server.opened, self.server.writable);
+        frames.clear();
+        conn.pump(frames);
+        for frame in frames.drain(..) {
+            let reply = match frame {
+                Frame::Line(line) if writable => wire::handle_line_writable(opened, &line),
+                Frame::Line(line) => wire::handle_line(opened, &line),
                 Frame::Oversized => wire::oversized_reply(),
             };
-            bytes.extend_from_slice(reply.line.as_bytes());
-            bytes.push(b'\n');
+            conn.queue_line(&reply.line);
             if reply.shutdown {
                 // The ack is the last response this connection gets;
                 // any frames pipelined behind it are dropped.
-                shutdown = true;
-                break;
-            }
-        }
-        if done_tx
-            .send(Done {
-                token: job.token,
-                bytes,
-                shutdown,
-            })
-            .is_err()
-        {
-            return;
-        }
-        state.waker.wake();
-    }
-}
-
-/// The readiness loop: accepts, frames, dispatches, collects, flushes.
-fn event_loop(
-    server: &Server,
-    poller: &poll::Poller,
-    job_tx: mpsc::Sender<Job>,
-    done_rx: &mpsc::Receiver<Done>,
-) -> Result<(), Error> {
-    let state = &server.state;
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut events = vec![poll::Event::zeroed(); EVENTS_PER_WAIT];
-    let mut next_token = TOKEN_FIRST_CONN;
-    let mut frames: Vec<Frame> = Vec::new();
-    let mut accepting = true;
-    // Set once the shutdown sweep has run; bounds the remaining drain.
-    let mut draining: Option<Instant> = None;
-
-    loop {
-        let timeout_ms = match draining {
-            None => -1,
-            Some(at) => {
-                let left = SHUTDOWN_DRAIN.saturating_sub(at.elapsed());
-                left.as_millis().min(i32::MAX as u128) as i32
-            }
-        };
-        let n = poller.wait(&mut events, timeout_ms)?;
-        for &ev in events.iter().take(n) {
-            match ev.token() {
-                TOKEN_LISTENER => {
-                    if accepting {
-                        accept_ready(server, poller, &mut conns, &mut next_token);
-                    }
-                }
-                TOKEN_WAKER => {
-                    state.waker.drain();
-                }
-                token => {
-                    let Some(conn) = conns.get_mut(&token) else {
-                        continue;
-                    };
-                    let ready = ev.readiness();
-                    if ready & poll::ERR != 0 {
-                        conn.mark_fatal();
-                    }
-                    if ready & poll::OUT != 0 {
-                        conn.flush();
-                    }
-                    if ready & (poll::IN | poll::HUP | poll::RDHUP) != 0 {
-                        pump_and_dispatch(conn, &job_tx, &mut frames);
-                    }
-                    settle(poller, state, &mut conns, token);
-                }
-            }
-        }
-        // Collect completed bursts: responses queue in request order
-        // and flush coalesced; freed connections may dispatch the next
-        // burst immediately.
-        while let Ok(done) = done_rx.try_recv() {
-            let Some(conn) = conns.get_mut(&done.token) else {
-                continue; // connection died while its burst executed
-            };
-            conn.set_in_flight(false);
-            conn.queue_response(&done.bytes);
-            if done.shutdown {
                 conn.half_close_read();
-                state.trigger();
-            }
-            conn.flush();
-            if !conn.finished() && draining.is_none() {
-                pump_and_dispatch(conn, &job_tx, &mut frames);
-            }
-            settle(poller, state, &mut conns, done.token);
-        }
-        // Shutdown sweep, once: stop accepting, half-close every read
-        // side (the trigger thread already half-closed registered
-        // streams; this also covers conns it raced with), then drain.
-        if draining.is_none() && state.shutting_down.load(Ordering::SeqCst) {
-            draining = Some(Instant::now());
-            if accepting {
-                accepting = false;
-                let _ = poller.remove(server.listener.as_raw_fd());
-            }
-            let tokens: Vec<u64> = conns.keys().copied().collect();
-            for token in tokens {
-                if let Some(conn) = conns.get_mut(&token) {
-                    conn.half_close_read();
-                }
-                settle(poller, state, &mut conns, token);
-            }
-        }
-        if let Some(at) = draining {
-            if conns.is_empty() {
-                break;
-            }
-            if at.elapsed() >= SHUTDOWN_DRAIN {
-                // Peers that never drained their responses: force the
-                // remaining sockets closed rather than hang run().
-                for (token, conn) in conns.drain() {
-                    let _ = poller.remove(conn.raw_fd());
-                    state.deregister(token);
-                }
+                self.server.state.trigger();
                 break;
             }
         }
-    }
-    Ok(())
-}
-
-/// Accepts every pending connection (nonblocking listener) and
-/// registers it with the poller and the shutdown registry.
-fn accept_ready(
-    server: &Server,
-    poller: &poll::Poller,
-    conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
-) {
-    loop {
-        match server.listener.accept() {
-            Ok((stream, _)) => {
-                if server.state.shutting_down.load(Ordering::SeqCst) {
-                    continue; // drop it; we are no longer serving
-                }
-                let token = *next_token;
-                *next_token += 1;
-                let Ok(mut conn) = Conn::new(stream, token) else {
-                    continue;
-                };
-                server.state.register(token, conn.stream());
-                if poller.add(conn.raw_fd(), token, poll::IN).is_ok() {
-                    conn.registered = poll::IN;
-                    conns.insert(token, conn);
-                } else {
-                    server.state.deregister(token);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            // WouldBlock: backlog drained. Anything else (EMFILE & co):
-            // stop for this round; level-triggered readiness retries.
-            Err(_) => break,
-        }
+        conn.flush();
     }
 }
 
-/// Reads whatever `conn` has and, if that produced at least one
-/// complete frame, dispatches the burst to the worker pool.
-fn pump_and_dispatch(conn: &mut Conn, job_tx: &mpsc::Sender<Job>, frames: &mut Vec<Frame>) {
-    if conn.is_in_flight() {
-        return; // the completion path will pump again
-    }
-    frames.clear();
-    conn.pump(frames);
-    if !frames.is_empty() {
-        conn.set_in_flight(true);
-        // Send can only fail once workers are gone, i.e. never while
-        // the loop runs; a lost burst at teardown is indistinguishable
-        // from shutdown dropping undispatched requests.
-        let _ = job_tx.send(Job {
-            token: conn.token(),
-            frames: std::mem::take(frames),
-        });
-    }
-}
-
-/// Post-activity bookkeeping for one connection: drop it when it is
-/// finished, otherwise converge its poller registration with the
-/// interest it currently wants.
-fn settle(poller: &poll::Poller, state: &ServerState, conns: &mut HashMap<u64, Conn>, token: u64) {
-    let Some(conn) = conns.get_mut(&token) else {
-        return;
-    };
-    if conn.finished() {
-        let _ = poller.remove(conn.raw_fd());
-        conns.remove(&token);
-        state.deregister(token);
-        return;
-    }
-    let want = conn.desired_interest();
-    if want != conn.registered && poller.modify(conn.raw_fd(), token, want).is_ok() {
-        conn.registered = want;
-    }
+/// A wait timeout in whole milliseconds, rounded up so a short
+/// remainder never becomes a zero-timeout spin.
+fn millis(d: Duration) -> i32 {
+    d.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
 }
 
 // ---------------------------------------------------------------------

@@ -696,3 +696,92 @@ fn checked_in_session_fixture_stays_in_sync() {
     assert!(replies[8].1.line.contains(r#""op":"cache_stats""#));
     assert!(replies[9].1.shutdown, "session must end with shutdown");
 }
+
+#[test]
+fn a_long_ingest_does_not_hold_up_reads_on_another_connection() {
+    // Two workers, two connections: while connection A's big ingest
+    // runs on one worker, connection B's pings must be answered by the
+    // other. Per-thread loops that own their connections would put
+    // both connections on one thread half of the time, and B's pings
+    // would wait for A's ack.
+    let served = Arc::new(open_fixture(3));
+    let server = Server::bind(Arc::clone(&served), "127.0.0.1:0", 2)
+        .expect("bind ephemeral port")
+        .writable(true);
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let runner = ServerRunner(Some(std::thread::spawn(move || {
+        server.run().expect("server run")
+    })));
+
+    let (mut tu, _) = writable_probe();
+    let mut batch = Vec::new();
+    for k in 0..INGEST_TRAJS {
+        tu.id = 1_000 + k;
+        for t in &mut tu.times {
+            *t += 600;
+        }
+        batch.push(trajectory_json(&tu));
+    }
+    let ingest = format!(r#"{{"op":"ingest","trajectories":[{}]}}"#, batch.join(","));
+
+    let mut b = Client::connect(addr);
+    let ping = r#"{"id":7,"op":"ping"}"#;
+    let pong = r#"{"id":7,"ok":true,"op":"ping"}"#;
+    assert_eq!(b.roundtrip(ping), pong);
+
+    // A's request goes out whole but for its newline, so the server has
+    // read and buffered it before the newline starts the ingest.
+    let mut a = Client::connect(addr);
+    a.writer.write_all(ingest.as_bytes()).expect("send");
+    a.writer.flush().expect("flush");
+    std::thread::sleep(std::time::Duration::from_millis(500));
+    let sent = std::time::Instant::now();
+    a.writer.write_all(b"\n").expect("send newline");
+    a.writer.flush().expect("flush");
+    let acker = std::thread::spawn(move || {
+        let ack = a.recv().expect("ingest ack");
+        (ack, sent.elapsed())
+    });
+    // Let the ingest get going, then ping from B while it runs.
+    std::thread::sleep(std::time::Duration::from_millis(10));
+    assert_eq!(b.roundtrip(ping), pong);
+    let pinged = sent.elapsed();
+    let (ack, acked) = acker.join().expect("ack thread");
+    handle.shutdown();
+    runner.join();
+    assert!(ack.contains(r#""ok":true"#), "{ack}");
+    assert!(
+        pinged < acked,
+        "B's ping ({pinged:?}) waited for A's ingest ack ({acked:?})"
+    );
+}
+
+/// Trajectories in the head-of-line test's ingest batch — enough that
+/// compressing and publishing it takes far longer than a ping.
+const INGEST_TRAJS: u64 = 2_000;
+
+#[test]
+fn shutdown_returns_promptly_with_many_idle_connections() {
+    let opened = Arc::new(open_fixture(3));
+    let (addr, handle, runner) = start(opened, 4);
+    let mut idle: Vec<Client> = (0..16).map(|_| Client::connect(addr)).collect();
+    // Every connection is accepted and served before shutdown.
+    for c in &mut idle {
+        assert_eq!(
+            c.roundtrip(r#"{"id":1,"op":"ping"}"#),
+            r#"{"id":1,"ok":true,"op":"ping"}"#
+        );
+    }
+    let started = std::time::Instant::now();
+    handle.shutdown();
+    runner.join();
+    let took = started.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "run() took {took:?} to return after shutdown"
+    );
+    for c in &mut idle {
+        assert_eq!(c.recv(), None, "idle connection must see EOF");
+    }
+}
